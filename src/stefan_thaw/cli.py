@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -36,13 +35,6 @@ EXIT_VERIFY = 3
 
 def _fmt(x) -> str:
     return repr(float(x))
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("STEFAN_THAW_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _write_lines(path: str | None, lines: list[str]) -> None:
@@ -185,9 +177,7 @@ def cmd_sweep(args) -> int:
     grid = np.geomspace(h0_lo, h0_hi, args.h0_points)
     try:
         pairs = solver.monotonicity_sweep(
-            phys, grid, opts, max_workers=_threads(),
-            classical=args.mode == "classical",
-        )
+            phys, grid, opts, classical=args.mode == "classical")
     except MonotonicityViolation as err:
         print(f"monotonicity: FAIL ({err})")
         return EXIT_VERIFY

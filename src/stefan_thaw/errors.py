@@ -66,11 +66,13 @@ class HypothesesNotMet(StefanThawError):
 class VerificationFailed(StefanThawError):
     """Residual verification rejected a candidate solution."""
 
-    def __init__(self, component: str, value: float, tolerance: float, report=None):
+    def __init__(self, component: str, value: float, tolerance: float, report=None,
+                 lower_bound: bool = False):
         self.component = component
         self.value = value
         self.tolerance = tolerance
         self.report = report
+        relation = "is below" if lower_bound else "exceeds"
         super().__init__(
-            f"verification failed: {component} = {value:.3e} exceeds {tolerance:.3e}"
+            f"verification failed: {component} = {value:.3e} {relation} {tolerance:.3e}"
         )

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import erf, erfc
-
+from ._erf import erf, erfc
 from .errors import DomainError, OutOfPhaseRegion
 from .model import DimensionlessParams, PhysicalParams
 from .special import g_eval, g_partial, partial_integrand

@@ -1,16 +1,17 @@
 """Root enumeration for the front equations and regime classification.
 
 The front coefficient solves LHS(y) = y + N y^3. The LHS can have poles and
-steep boundary layers near y = 0 (temperature problem), so the pipeline is
-bracket-safe throughout: geometric-grid sign scan, bisection, then a guarded
-secant polish inside the surviving bracket. All roots found in the scan
-window are returned, smallest first (the principal root).
+steep boundary layers near y = 0 (temperature problem), so one bracketed
+engine finds every root: a geometric-grid sign scan evaluated as one numpy
+array, then Chandrupatla's interpolation polish applied to all sign-change
+cells at once. The h0 sweep uses the same engine with one row per h0. All
+roots found in the scan window are returned, smallest first (the principal
+root).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,13 +33,15 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+_POLISH_ULPS = 4.0      # a polished bracket is at most this many ulp wide
+_MAX_POLISH = 200       # bisection alone needs < 64 steps from a scan cell
 
 
 @dataclass(frozen=True)
 class SolveOptions:
     scan_max: float | None = None   # default derived from the data, see _default_scan_max
     scan_points: int = 2048
-    tolerance: float = 1e-12        # on |LHS - RHS| at the returned root
+    tolerance: float = 1e-12        # on |LHS - RHS| / max(1, |LHS| + |RHS|) at a root
     scan_min: float | None = None   # default scan_max * 1e-12
 
     def __post_init__(self):
@@ -50,13 +53,18 @@ class SolveOptions:
 
 @dataclass
 class RootSet:
-    """All roots found in the scan window, strictly increasing."""
+    """All roots found in the scan window, strictly increasing.
+
+    ``nonfinite_cells`` counts scan cells skipped because the equation was
+    not finite at one of their ends; a root inside such a cell is not seen.
+    """
 
     roots: list[float]
     brackets: list[tuple[float, float]]
     residuals: list[float]
     scan_max: float
     scan_points: int
+    nonfinite_cells: int = 0
 
     @property
     def principal(self) -> float:
@@ -103,103 +111,110 @@ def _default_scan_max(dl: DimensionlessParams, b_like: float) -> float:
     return 4.0 * max(cands)
 
 
-def _scan_grid(scan_min: float, scan_max: float, n: int) -> np.ndarray:
-    return np.geomspace(scan_min, scan_max, n)
+def _window(opts: SolveOptions, dl: DimensionlessParams, b_like: float):
+    scan_max = opts.scan_max or _default_scan_max(dl, b_like)
+    return opts.scan_min or scan_max * 1e-12, scan_max
 
 
-def _bisect_secant(f, lo: float, hi: float, flo: float, fhi: float):
-    """Polish a sign-change bracket: bisection to a tight interval, then a
-    guarded secant refinement. Returns (root, residual)."""
-    a, b, fa, fb = lo, hi, flo, fhi
-    for _ in range(200):
-        if b - a <= 4.0 * _EPS * max(abs(a), abs(b)):
-            break
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        fm = f(mid)
-        if fm == 0.0 or not math.isfinite(fm):
-            a = b = mid
-            fa = fb = fm
-            break
-        if (fa < 0.0) == (fm < 0.0):
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
-    # secant inside the final bracket
-    x0, x1, f0, f1 = a, b, fa, fb
-    best_x, best_f = (x0, f0) if abs(f0) <= abs(f1) else (x1, f1)
-    for _ in range(8):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not (lo <= x2 <= hi) or not math.isfinite(x2):
-            break
-        f2 = f(x2)
-        if math.isfinite(f2) and abs(f2) < abs(best_f):
-            best_x, best_f = x2, f2
-        if f2 == 0.0:
-            break
-        x0, f0, x1, f1 = x1, f1, x2, f2
-    return best_x, abs(best_f)
+def _polish(f, x1, x2, f1, f2, rows):
+    """Chandrupatla's method (Adv. Eng. Software 28:145, 1997) on every
+    bracket [x1, x2] at once, f1 and f2 of opposite signs. Each bracket
+    stops when it is _POLISH_ULPS wide, f is zero or f is not finite;
+    returns the end with the smaller |f| of each final bracket."""
+    out = np.empty_like(x1)
+    idx = np.arange(x1.size)
+    t = np.full_like(x1, 0.5)
+    for _ in range(_MAX_POLISH):
+        xt = x1 + t * (x2 - x1)
+        ft = _residual(f, xt, rows)
+        same = np.sign(ft) == np.sign(f1)
+        # keep the new point and the old end of opposite sign; x3 is dropped
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = xt, ft
+        xm = np.where(np.abs(f1) < np.abs(f2), x1, x2)
+        xtol = _POLISH_ULPS * _EPS * np.abs(xm)
+        dx = np.abs(x2 - x1)
+        done = (f1 == 0.0) | (dx <= xtol) | ~np.isfinite(ft)
+        out[idx[done]] = xm[done]
+        if done.all():
+            return out
+        keep = ~done
+        x1, x2, x3, f1, f2, f3, xm, xtol, dx, idx, rows = (
+            a[keep] for a in (x1, x2, x3, f1, f2, f3, xm, xtol, dx, idx, rows))
+        # inverse quadratic interpolation where the three points allow it
+        xi = (x1 - x2) / (x3 - x2)
+        phi = (f1 - f2) / (f3 - f2)
+        iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+        alpha = (x3 - x1) / (x2 - x1)
+        t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
+                     - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+        tl = 0.5 * xtol / dx
+        t = np.clip(t, tl, 1.0 - tl)
+    out[idx] = xm
+    return out
 
 
-def _enumerate_roots(f_vec, f_scalar, scan_min, scan_max, n_points, tol) -> RootSet:
-    grid = _scan_grid(scan_min, scan_max, n_points)
+def _residual(f, y, rows):
+    lhs, rhs = f(y, rows)
+    return np.asarray(lhs - rhs, dtype=float)
+
+
+def _find_roots(f, scan_min: float, scan_max: float, n_points: int, tol: float,
+                n_rows: int = 1) -> list[RootSet]:
+    """Every root of ``f`` in the scan window, for each of ``n_rows`` rows.
+
+    ``f(y, rows)`` returns the pair (LHS, RHS) of the equation, broadcasting
+    ``y`` against the row indices ``rows``. The scan evaluates f once on a
+    (rows x grid) array; each root is accepted when
+    |LHS - RHS| <= tol * max(1, |LHS| + |RHS|), else ToleranceNotReached.
+    """
+    grid = np.geomspace(scan_min, scan_max, n_points)
     with np.errstate(all="ignore"):
-        vals = f_vec(grid)
-    vals = np.asarray(vals, dtype=float)
-    ok = np.isfinite(vals)
-
-    roots, brackets, residuals = [], [], []
-    for i in range(len(grid) - 1):
-        if not (ok[i] and ok[i + 1]):
-            continue
-        a, b = grid[i], grid[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(float(a)), brackets.append((float(a), float(a)))
-            residuals.append(0.0)
-            continue
-        if fa * fb < 0.0:
-            root, res = _bisect_secant(f_scalar, float(a), float(b), float(fa), float(fb))
-            if res > tol:
-                raise ToleranceNotReached(
-                    f"residual {res:.3e} > tolerance {tol:.3e} at root ~{root:.6g}"
-                )
-            roots.append(root)
-            brackets.append((float(a), float(b)))
-            residuals.append(res)
-    # infinite starting values (temperature problem near 0) followed by a
-    # finite tail: a +inf -> negative transition still brackets a root
-    order = np.argsort(roots)
-    return RootSet(
-        roots=[roots[i] for i in order],
-        brackets=[brackets[i] for i in order],
-        residuals=[residuals[i] for i in order],
-        scan_max=float(scan_max),
-        scan_points=int(n_points),
-    )
+        vals = np.broadcast_to(
+            _residual(f, grid[None, :], np.arange(n_rows)[:, None]), (n_rows, n_points))
+        ok = np.isfinite(vals)
+        both = ok[:, :-1] & ok[:, 1:]
+        lo, hi = vals[:, :-1], vals[:, 1:]
+        change = both & (np.sign(lo) * np.sign(hi) < 0.0)
+        zero = both & (lo == 0.0)
+        rows, cells = np.nonzero(change | zero)
+        polish = change[rows, cells]
+        roots = grid[cells]
+        res = scale = np.zeros(roots.shape)        # exact zeros of the scan
+        if polish.any():
+            r, i = rows[polish], cells[polish]
+            roots[polish] = _polish(f, grid[i], grid[i + 1], lo[r, i], hi[r, i], r)
+            lhs, rhs = f(roots, rows)
+            res = np.where(polish, np.abs(lhs - rhs), 0.0)
+            scale = np.abs(lhs) + np.abs(rhs)
+    bound = tol * np.maximum(1.0, scale)
+    bad = np.nonzero(~(res <= bound))[0]
+    if bad.size:
+        i = bad[0]
+        raise ToleranceNotReached(
+            f"residual {res[i]:.3e} > tolerance {bound[i]:.3e} at root ~{roots[i]:.6g}")
+    skipped = (~both).sum(axis=1)
+    sets = [RootSet(roots=[], brackets=[], residuals=[], scan_max=float(scan_max),
+                    scan_points=int(n_points), nonfinite_cells=int(skipped[r]))
+            for r in range(n_rows)]
+    for r, i, root, rs, pol in zip(rows.tolist(), cells.tolist(), roots.tolist(),
+                                   res.tolist(), polish.tolist()):
+        s = sets[r]
+        s.roots.append(root)
+        s.brackets.append((float(grid[i]), float(grid[i + 1 if pol else i])))
+        s.residuals.append(rs)
+    return sets
 
 
 def smallest_lhs_zero(dl: DimensionlessParams, opts: SolveOptions | None = None) -> float | None:
     """Smallest positive zero q1 of the convective LHS, or None if no sign
     change lies inside the scan window."""
     opts = opts or SolveOptions()
-    scan_max = opts.scan_max or _default_scan_max(dl, dl.b_ext)
-    scan_min = opts.scan_min or scan_max * 1e-12
-    grid = _scan_grid(scan_min, scan_max, opts.scan_points)
-    with np.errstate(all="ignore"):
-        vals = np.asarray(lhs_convective(grid, dl), dtype=float)
-    ok = np.isfinite(vals)
-    for i in range(len(grid) - 1):
-        if ok[i] and ok[i + 1] and vals[i] * vals[i + 1] < 0.0:
-            root, _ = _bisect_secant(
-                lambda y: lhs_convective(y, dl),
-                float(grid[i]), float(grid[i + 1]), float(vals[i]), float(vals[i + 1]),
-            )
-            return root
-    return None
+    scan_min, scan_max = _window(opts, dl, dl.b_ext)
+    zeros = _find_roots(lambda y, _: (lhs_convective(y, dl), 0.0),
+                        scan_min, scan_max, opts.scan_points, opts.tolerance)[0]
+    return zeros.roots[0] if zeros.roots else None
 
 
 def _p_class(p: float) -> str:
@@ -310,17 +325,8 @@ def solve_xi(dl: DimensionlessParams, opts: SolveOptions | None = None):
         raise DomainError("convective solve needs h0-bearing parameters")
     opts = opts or SolveOptions()
     report = classify(dl, h0_present=True, opts=opts)
-    scan_max = opts.scan_max or _default_scan_max(dl, dl.b_ext)
-    scan_min = opts.scan_min or scan_max * 1e-12
-
-    def f_scalar(y):
-        return lhs_convective(y, dl) - rhs_eval(dl.n_par, y)
-
-    def f_vec(ys):
-        return lhs_convective(ys, dl) - rhs_eval(dl.n_par, ys)
-
-    roots = _enumerate_roots(f_vec, f_scalar, scan_min, scan_max,
-                             opts.scan_points, opts.tolerance)
+    roots = _find_roots(lambda y, _: (lhs_convective(y, dl), rhs_eval(dl.n_par, y)),
+                        *_window(opts, dl, dl.b_ext), opts.scan_points, opts.tolerance)[0]
     if not roots.roots:
         err = NoRootFound(
             "no root in scan window"
@@ -344,17 +350,8 @@ def solve_omega(dl: DimensionlessParams, opts: SolveOptions | None = None) -> Ro
     if dl.delta1_tilde is None or dl.b0_wall is None:
         raise DomainError("temperature solve needs B0-bearing parameters")
     opts = opts or SolveOptions()
-    scan_max = opts.scan_max or _default_scan_max(dl, dl.b0_wall)
-    scan_min = opts.scan_min or scan_max * 1e-12
-
-    def f_scalar(y):
-        return lhs_temperature(y, dl) - rhs_eval(dl.n_par, y)
-
-    def f_vec(ys):
-        return lhs_temperature(ys, dl) - rhs_eval(dl.n_par, ys)
-
-    roots = _enumerate_roots(f_vec, f_scalar, scan_min, scan_max,
-                             opts.scan_points, opts.tolerance)
+    roots = _find_roots(lambda y, _: (lhs_temperature(y, dl), rhs_eval(dl.n_par, y)),
+                        *_window(opts, dl, dl.b0_wall), opts.scan_points, opts.tolerance)[0]
     if not roots.roots:
         raise NoRootFound("no root of the temperature front equation in scan window")
     m, n, p = dl.m_par, dl.n_par, dl.p_par
@@ -373,37 +370,37 @@ def solve_omega(dl: DimensionlessParams, opts: SolveOptions | None = None) -> Ro
     return roots
 
 
-def _with_h0(phys: PhysicalParams, h0: float) -> PhysicalParams:
-    return replace(phys, h0=h0)
-
-
 def monotonicity_sweep(phys: PhysicalParams, h0_values, opts: SolveOptions | None = None,
-                       max_workers: int = 1, classical: bool = False):
+                       classical: bool = False):
     """Principal root xi as a function of h0; must be strictly increasing.
 
-    All h0 values must exceed the critical threshold. Grid points may solve
-    in parallel; the returned list is ordered by h0.
+    All h0 values must exceed the critical threshold. Only K0 depends on
+    h0, so every point is solved in one batched pass with one row per h0;
+    the returned list is ordered by h0.
     """
     h0_values = sorted(float(h) for h in h0_values)
     crit = critical_h0(phys)
     for h in h0_values:
         if h <= crit:
             raise DomainError(f"h0 = {h:.6g} is not above the critical value {crit:.6g}")
-
-    def solve_one(h):
-        roots, _ = solve_xi(reduce_params(_with_h0(phys, h), classical=classical), opts)
-        return roots.principal
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            xis = list(pool.map(solve_one, h0_values))
-    else:
-        xis = [solve_one(h) for h in h0_values]
+    if not h0_values:
+        return []
+    opts = opts or SolveOptions()
+    dls = [reduce_params(replace(phys, h0=h), classical=classical) for h in h0_values]
+    dl = dls[0]
+    k0 = np.array([d.k0 for d in dls])
+    sets = _find_roots(lambda y, rows: (lhs_convective(y, dl, k0[rows]), rhs_eval(dl.n_par, y)),
+                       *_window(opts, dl, dl.b_ext), opts.scan_points, opts.tolerance,
+                       n_rows=len(dls))
+    xis = []
+    for h, roots in zip(h0_values, sets):
+        if not roots.roots:
+            raise NoRootFound(f"no root in scan window at h0 = {h:.6g}")
+        xis.append(roots.roots[0])
 
     pairs = list(zip(h0_values, xis))
-    tol = (opts or SolveOptions()).tolerance
     for (h_a, x_a), (h_b, x_b) in zip(pairs, pairs[1:]):
-        if x_b < x_a - tol:
+        if x_b < x_a - opts.tolerance:
             raise MonotonicityViolation(
                 f"xi({h_b:.6g}) = {x_b:.12g} < xi({h_a:.6g}) = {x_a:.12g}"
             )

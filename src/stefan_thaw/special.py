@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf, erfcx
 
+from ._erf import erf, erfcx
 from .errors import DomainError, NonFiniteInput, OverflowUnrepresentable
 
 __all__ = [
@@ -56,8 +56,12 @@ def _g_and_log(p: float, y: np.ndarray):
     """Return (g, log g, used_scaled) elementwise; y >= 0.
 
     used_scaled marks points where the naive closed form would overflow in
-    double precision and a scaled/log-space path was taken.
+    double precision and a scaled/log-space path was taken. The work is done
+    on an array of at least one dimension, so a scalar y gets exactly the
+    value it has inside a vector.
     """
+    shape = np.shape(y)
+    y = np.atleast_1d(y)
     c1 = 1.0 - 0.5 * p
     c2 = 0.5 * p
     e_sq = (c2 * y) ** 2  # completed-square exponent p^2 y^2 / 4
@@ -98,7 +102,7 @@ def _g_and_log(p: float, y: np.ndarray):
             log_g = np.where(use_scaled, log_g_scaled, log_g_direct)
             used = use_scaled
 
-    return g, log_g, used
+    return g.reshape(shape), log_g.reshape(shape), used.reshape(shape)
 
 
 def g_eval(p: float, y, return_info: bool = False):
@@ -124,28 +128,28 @@ def log_g(p: float, y):
     return float(lg) if y.ndim == 0 else lg
 
 
-def g1_eval(p: float, y, k0: float, return_info: bool = False):
+def g1_eval(p: float, y, k0, return_info: bool = False):
     """G1(p, y) = exp((p-1) y^2) / (K0 + g(p, y)).
 
     Numerator and denominator exponentials are combined in log space before
     exponentiation, so the result is finite whenever the true value is.
+    ``k0`` may be an array broadcasting against ``y``.
     """
     _check_finite("p", p)
-    if not (np.isfinite(k0) and k0 >= 0.0):
+    k0 = np.asarray(k0, dtype=float)
+    if not np.all(np.isfinite(k0) & (k0 >= 0.0)):
         raise NonFiniteInput(f"k0 must be finite and >= 0, got {k0}")
     y = _check_y(y, allow_zero=False)
     _, lg, used = _g_and_log(float(p), y)
-    if k0 > 0.0:
-        log_den = np.logaddexp(math.log(k0), lg)
-    else:
-        if np.any(np.isneginf(lg)):
-            raise DomainError("g(p, y) = 0 with K0 = 0: G1 undefined")
-        log_den = lg
+    with np.errstate(divide="ignore"):
+        log_den = np.logaddexp(np.log(k0), lg)  # K0 = 0 leaves log g
+    if not np.all(k0 > 0.0) and np.any(np.isneginf(log_den)):
+        raise DomainError("g(p, y) = 0 with K0 = 0: G1 undefined")
     exponent = (p - 1.0) * y * y - log_den
     if np.any(exponent > _EXP_MAX):
         raise OverflowUnrepresentable("G1 exceeds the double-precision range")
     out = np.exp(exponent)
-    if y.ndim == 0:
+    if np.ndim(out) == 0:
         return (float(out), bool(used)) if return_info else float(out)
     return (out, used) if return_info else out
 
@@ -184,21 +188,23 @@ def rhs_eval(n: float, y):
     return float(out) if y.ndim == 0 else out
 
 
-def lhs_convective(y, dl):
+def lhs_convective(y, dl, k0=None):
     """Left side of the convective front equation.
 
     delta1 (1 - (A M / B) y^2) G1(p, y) - delta2 (1 + M y^2) G2(y),
-    with G1 built from the Robin coefficient through K0.
+    with G1 built from the Robin coefficient through K0. ``k0`` replaces
+    ``dl.k0`` and may be an array broadcasting against ``y``: the batched
+    h0 sweep passes one K0 per row, so only the G1 term is evaluated per row.
     """
     if dl.k0 is None:
         raise DomainError("convective LHS needs h0-bearing parameters (k0)")
     y_arr = _check_y(y, allow_zero=False)
     m, p = dl.m_par, dl.p_par
-    g1 = g1_eval(p, y_arr, dl.k0)
+    g1 = g1_eval(p, y_arr, dl.k0 if k0 is None else k0)
     g2 = g2_eval(y_arr, dl.gamma0)
     ratio = dl.a_init * m / dl.b_ext
     out = dl.delta1 * (1.0 - ratio * y_arr ** 2) * g1 - dl.delta2 * (1.0 + m * y_arr ** 2) * g2
-    return float(out) if np.asarray(y).ndim == 0 else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def lhs_temperature(y, dl):

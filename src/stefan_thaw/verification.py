@@ -178,14 +178,17 @@ def _finish(report: ResidualReport, cfg: VerifyConfig, boundary_name: str):
         (boundary_name, report.boundary_gap, cfg.gap_tol),
         ("farfield_gap", report.farfield_gap, cfg.gap_tol),
     ]
+    # written as "not within bound" so that a NaN fails
     for name, value, tol in checks:
-        if value > tol:
+        if not value <= tol:
             raise VerificationFailed(name, value, tol, report=report)
     for name, order, r2 in (("pde_u", order_u, r2_u), ("pde_v", order_v, r2_v)):
-        if order < cfg.min_order:
-            raise VerificationFailed(f"{name}_order", order, cfg.min_order, report=report)
-        if r2 < cfg.min_r2:
-            raise VerificationFailed(f"{name}_fit_r2", r2, cfg.min_r2, report=report)
+        if not order >= cfg.min_order:
+            raise VerificationFailed(f"{name}_order", order, cfg.min_order,
+                                     report=report, lower_bound=True)
+        if not r2 >= cfg.min_r2:
+            raise VerificationFailed(f"{name}_fit_r2", r2, cfg.min_r2,
+                                     report=report, lower_bound=True)
     report.ok = True
     return report
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,15 +98,24 @@ class TestSweep:
         xis = [float(line.split(",")[1]) for line in lines[1:]]
         assert xis == sorted(xis)
 
-    def test_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("STEFAN_THAW_THREADS", "4")
-        a = tmp_path / "a.csv"
+    def test_repeat_runs_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["sweep", CONVECTIVE, "--h0-points", "8",
                      "--out", str(a)]) == 0
-        monkeypatch.setenv("STEFAN_THAW_THREADS", "1")
-        b = tmp_path / "b.csv"
-        main(["sweep", CONVECTIVE, "--h0-points", "8", "--out", str(b)])
+        assert main(["sweep", CONVECTIVE, "--h0-points", "8",
+                     "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestImport:
+    def test_no_scipy_at_import(self):
+        # scipy.special alone costs about 0.45 s and 25 MB at start-up
+        code = ("import sys, stefan_thaw.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestEquiv:

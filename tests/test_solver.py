@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stefan_thaw.errors import DomainError, NoRootFound
+from stefan_thaw.errors import DomainError, NoRootFound, ToleranceNotReached
 from stefan_thaw.model import reduce_params
 from stefan_thaw.solver import (
     SolveOptions,
+    _find_roots,
     classify,
     critical_h0,
     monotonicity_sweep,
@@ -173,6 +174,60 @@ class TestSolveXi:
         assert a.principal == pytest.approx(b.principal, rel=1e-12)
 
 
+class TestRootEngine:
+    # a medium whose root y ~ 15.98 has |LHS - RHS| ~ 3.6e-12 at full
+    # convergence: the terms there are large, so an absolute 1e-12 rejects it
+    F1_MEDIUM = dict(
+        epsilon=0.4, rho_w=1.0, rho_i=0.917, c_w=1.0, c_i=6.207436735262693,
+        c_u=0.8, c_f=0.6, k_u=0.0014, k_f=0.0053, rho_u=1.2, rho_f=1.4,
+        latent_l=0.17628045036819887, gamma_cc=0.013327427236916925,
+        mu=0.0179, perm_k=1e-7, a_init=73.95134849987143,
+        b_ext=5784.912816202971, h0=3.642679400222342,
+    )
+
+    def test_large_terms_accepted_at_converged_roots(self):
+        dl = reduce_params(make_phys(**self.F1_MEDIUM))
+        roots, _ = solve_xi(dl)
+        oracle = scan_bisect_roots(
+            lambda y: lhs_convective(y, dl) - rhs_eval(dl.n_par, y),
+            roots.scan_max * 1e-12, roots.scan_max)
+        assert roots.roots == pytest.approx(oracle, rel=1e-10)
+        assert roots.roots == pytest.approx([1.7802, 15.9787], rel=1e-4)
+        assert roots.residuals[1] > 1e-12
+
+    def test_pole_sign_change_raises(self):
+        def pole(y, _):
+            return 1.0 / (y - 0.7), 0.0
+        with pytest.raises(ToleranceNotReached, match=r"residual .* at root ~0\.7"):
+            _find_roots(pole, 1e-3, 10.0, 64, 1e-12)
+
+    def test_nonfinite_cells_reported(self):
+        grid = np.geomspace(1e-3, 10.0, 64)
+
+        def hole(y, _):
+            return np.where((y > 0.9) & (y < 1.1), np.nan, y - 1.0), 0.0
+
+        roots = _find_roots(hole, 1e-3, 10.0, 64, 1e-12)[0]
+        assert roots.roots == []             # the root at 1 sits in the hole
+        nan_points = int(np.sum((grid > 0.9) & (grid < 1.1)))
+        assert nan_points > 0
+        assert roots.nonfinite_cells == nan_points + 1
+
+        def clean(y, _):
+            return y - 1.0, 0.0
+
+        roots = _find_roots(clean, 1e-3, 10.0, 64, 1e-12)[0]
+        assert roots.nonfinite_cells == 0
+        assert roots.roots == [pytest.approx(1.0, rel=1e-15)]
+
+    def test_rows_solved_independently(self):
+        def shifted(y, rows):
+            return y - (1.0 + rows), 0.0
+
+        sets = _find_roots(shifted, 1e-3, 10.0, 256, 1e-12, n_rows=3)
+        assert [s.roots for s in sets] == [[pytest.approx(c, rel=1e-15)] for c in (1, 2, 3)]
+
+
 class TestSolveOmega:
     def test_unique_in_guaranteed_interval(self):
         dl = reduce_params(make_phys(b0_wall=3.0))
@@ -229,12 +284,13 @@ class TestMonotonicitySweep:
         pairs = monotonicity_sweep(phys_pp, h0s)
         assert len(pairs) == 3
 
-    def test_parallel_matches_serial(self, phys_pp):
+    def test_batched_matches_per_point(self, phys_pp):
         crit = critical_h0(phys_pp)
-        h0s = np.geomspace(crit * 1.1, crit * 50.0, 8)
-        serial = monotonicity_sweep(phys_pp, h0s, max_workers=1)
-        parallel = monotonicity_sweep(phys_pp, h0s, max_workers=4)
-        assert serial == parallel
+        h0s = np.geomspace(crit * 1.05, crit * 1e6, 32)
+        pairs = monotonicity_sweep(phys_pp, h0s)
+        for h, xi in pairs:
+            single = solve_xi(reduce_params(replace(phys_pp, h0=h)))[0].principal
+            assert abs(xi - single) <= 4.0 * np.spacing(single)
 
     def test_rejects_subcritical_points(self, phys_pp):
         crit = critical_h0(phys_pp)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf, erfcx
 
+from stefan_thaw import _erf
 from stefan_thaw import special as sp
 from stefan_thaw.errors import DomainError, NonFiniteInput
 
@@ -162,6 +164,14 @@ class TestFrontEquationSides:
         assert sp.lhs_convective(1e-6, dl_pp) > 0.0
         assert sp.lhs_convective(y_star, dl_pp) < 0.0
 
+    def test_k0_rows_broadcast(self, dl_pp):
+        ys = np.geomspace(1e-6, 3.0, 50)
+        k0s = dl_pp.k0 * np.array([0.01, 1.0, 100.0])
+        rows = sp.lhs_convective(ys[None, :], dl_pp, k0s[:, None])
+        for k0, row in zip(k0s, rows):
+            single = sp.lhs_convective(ys, dataclasses.replace(dl_pp, k0=float(k0)))
+            assert row == pytest.approx(single, rel=1e-15, abs=0.0)
+
     def test_temperature_lhs_blows_up_at_zero(self, dl_pp):
         dl = dl_pp.with_b0(3.0)
         assert sp.lhs_temperature(1e-6, dl) > 1e4
@@ -226,3 +236,51 @@ class TestProfileIntegral:
         p, xi, eta, h = 0.6, 1.2, 0.5, 1e-6
         fd = (sp.g_partial(p, xi, eta + h) - sp.g_partial(p, xi, eta - h)) / (2 * h)
         assert fd == pytest.approx(sp.partial_integrand(p, xi, eta), rel=1e-9)
+
+
+class TestErrorFunctions:
+    """The package's own erf, erfc and erfcx against mpmath at 40 digits."""
+
+    POINTS = np.concatenate([
+        np.linspace(-30.0, 30.0, 241), np.geomspace(1e-300, 26.0, 120),
+        -np.geomspace(1e-300, 26.0, 120), [0.46875, 4.0, -0.46875, -4.0],
+    ])
+
+    @staticmethod
+    def _rel(got, want):
+        return float(abs((mpmath.mpf(float(got)) - want) / want)) if want != 0 else abs(got)
+
+    @pytest.mark.parametrize("name, exact", [
+        ("erf", mpmath.erf),
+        ("erfc", mpmath.erfc),
+        ("erfcx", lambda x: mpmath.exp(x * x) * mpmath.erfc(x)),
+    ])
+    def test_against_mpmath(self, name, exact):
+        fn = getattr(_erf, name)
+        vals = fn(self.POINTS)
+        with mpmath.workdps(40):
+            for x, v in zip(self.POINTS, vals):
+                want = exact(mpmath.mpf(float(x)))
+                if abs(want) < 1e-300 or abs(want) > 1e300:
+                    continue          # outside the normal double range
+                assert self._rel(v, want) <= 2e-15, (name, x, v)
+                assert self._rel(fn(float(x)), want) <= 2e-15, (name, x)
+
+    def test_special_values(self):
+        x = np.array([0.0, np.inf, -np.inf, np.nan, -30.0, 1e300])
+        with np.errstate(all="raise"):
+            erf, erfc, erfcx = _erf.erf(x), _erf.erfc(x), _erf.erfcx(x)
+        np.testing.assert_array_equal(erf, [0.0, 1.0, -1.0, np.nan, -1.0, 1.0])
+        np.testing.assert_array_equal(erfc, [1.0, 0.0, 2.0, np.nan, 2.0, 0.0])
+        np.testing.assert_array_equal(erfcx[:4], [1.0, 0.0, np.inf, np.nan])
+        assert erfcx[4] == np.inf
+        assert erfcx[5] == pytest.approx(1.0 / (math.sqrt(math.pi) * 1e300), rel=1e-15)
+
+    def test_shapes(self):
+        grid = np.geomspace(0.1, 10.0, 12).reshape(3, 4)
+        for fn in (_erf.erf, _erf.erfc, _erf.erfcx):
+            assert fn(grid).shape == (3, 4)
+            assert isinstance(fn(0.5), float)
+        # erfcx takes one code path for scalars and arrays, strided or not
+        part = grid[1:, ::2]
+        assert _erf.erfcx(part).ravel().tolist() == [_erf.erfcx(v) for v in part.ravel()]

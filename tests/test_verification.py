@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -10,7 +11,9 @@ from stefan_thaw.profiles import (
     build_temperature_solution,
 )
 from stefan_thaw.solver import solve_omega, solve_xi
+from stefan_thaw import verification
 from stefan_thaw.verification import (
+    ResidualReport,
     VerifyConfig,
     asymptotic_suite,
     verify_convective,
@@ -140,3 +143,65 @@ class TestConfigKnobs:
         report = verify_convective(sol, cfg)
         assert report.levels == [2e-2, 1e-2, 5e-3]
         assert report.ok
+
+
+def _passing_report(**changes):
+    levels = [1e-2, 5e-3, 2.5e-3]
+    fields = dict(
+        levels=levels,
+        pde_u_residual=[h * h for h in levels],
+        pde_v_residual=[3.0 * h * h for h in levels],
+        interface_temp_gap=0.0, stefan_balance_gap=0.0,
+        boundary_gap=0.0, farfield_gap=0.0,
+    )
+    fields.update(changes)
+    return ResidualReport(**fields)
+
+
+class TestFailClosed:
+    def test_clean_report_passes(self):
+        assert verification._finish(_passing_report(), VerifyConfig(), "wall_bc_gap").ok
+
+    @pytest.mark.parametrize("field, component", [
+        ("interface_temp_gap", "interface_temp_gap"),
+        ("stefan_balance_gap", "stefan_balance_gap"),
+        ("boundary_gap", "wall_bc_gap"),
+        ("farfield_gap", "farfield_gap"),
+    ])
+    def test_nan_gap_fails(self, field, component):
+        report = _passing_report(**{field: math.nan})
+        with pytest.raises(VerificationFailed) as exc:
+            verification._finish(report, VerifyConfig(), "wall_bc_gap")
+        assert exc.value.component == component
+        assert not report.ok
+
+    @pytest.mark.parametrize("field, component", [
+        ("pde_u_residual", "pde_u_order"),
+        ("pde_v_residual", "pde_v_order"),
+    ])
+    def test_nan_residual_fails(self, field, component):
+        report = _passing_report(**{field: [1e-4, math.nan, 6.25e-6]})
+        with pytest.raises(VerificationFailed) as exc:
+            verification._finish(report, VerifyConfig(), "wall_bc_gap")
+        assert exc.value.component == component
+
+    def test_nan_fit_quality_fails(self, monkeypatch):
+        monkeypatch.setattr(verification, "_fit_order", lambda levels, res: (2.0, math.nan))
+        with pytest.raises(VerificationFailed) as exc:
+            verification._finish(_passing_report(), VerifyConfig(), "wall_bc_gap")
+        assert exc.value.component == "pde_u_fit_r2"
+
+
+class TestFailureWording:
+    def test_upper_bound_exceeds(self):
+        report = _passing_report(farfield_gap=1e-3)
+        with pytest.raises(VerificationFailed,
+                           match=r"farfield_gap = 1\.000e-03 exceeds 1\.000e-08"):
+            verification._finish(report, VerifyConfig(), "wall_bc_gap")
+
+    def test_lower_bound_is_below(self):
+        levels = [1e-2, 5e-3, 2.5e-3]
+        report = _passing_report(pde_u_residual=levels)   # first order
+        with pytest.raises(VerificationFailed,
+                           match=r"pde_u_order = 1\.000e\+00 is below 1\.800e\+00"):
+            verification._finish(report, VerifyConfig(), "wall_bc_gap")
