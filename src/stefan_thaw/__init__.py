@@ -30,12 +30,10 @@ from .errors import (
 )
 from .model import DimensionlessParams, PhysicalParams, load_config, reduce_params
 from .profiles import (
-    ConvectiveSolution,
-    TemperatureSolution,
+    Solution,
     build_convective_solution,
     build_temperature_solution,
     eval_front,
-    eval_temperature_problem,
     eval_u,
     eval_v,
 )

@@ -129,12 +129,14 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _solve_solution(phys, dl, args, opts):
+def _solve_solution(phys, dl, args, opts, factor: float = 1.0):
+    """Solve the problem --mode names; ``factor`` scales the front coefficient
+    before the solution is built."""
     if args.mode == "temperature":
         roots = solver.solve_omega(dl, opts)
-        return profiles.build_temperature_solution(phys, dl, roots.principal)
+        return profiles.build_temperature_solution(phys, dl, roots.principal * factor)
     roots, _ = solver.solve_xi(dl, opts)
-    return profiles.build_convective_solution(phys, dl, roots.principal)
+    return profiles.build_convective_solution(phys, dl, roots.principal * factor)
 
 
 def cmd_profile(args) -> int:
@@ -154,15 +156,9 @@ def cmd_profile(args) -> int:
         if math.isclose(x, s, rel_tol=1e-12):
             region, val = "front", sol.interface_temp
         elif x < s:
-            region = "U"
-            val = (profiles.eval_u(sol, x, t)
-                   if isinstance(sol, profiles.ConvectiveSolution)
-                   else profiles.eval_U(sol, x, t))
+            region, val = "U", profiles.eval_u(sol, x, t)
         else:
-            region = "F"
-            val = (profiles.eval_v(sol, x, t)
-                   if isinstance(sol, profiles.ConvectiveSolution)
-                   else profiles.eval_V(sol, x, t))
+            region, val = "F", profiles.eval_v(sol, x, t)
         lines.append(f"{_fmt(t)},{_fmt(x)},{region},{_fmt(val)}")
     _write_lines(args.out, lines)
     return EXIT_OK
@@ -208,13 +204,13 @@ def cmd_equiv(args) -> int:
         x_f = s + float(rng.uniform(0.0, 3.0)) * dl.alpha_f * math.sqrt(t)
         gap = max(
             gap,
-            abs(profiles.eval_u(sol, x_u, t) - profiles.eval_U(tsol, x_u, t)),
-            abs(profiles.eval_v(sol, x_f, t) - profiles.eval_V(tsol, x_f, t)),
+            abs(profiles.eval_u(sol, x_u, t) - profiles.eval_u(tsol, x_u, t)),
+            abs(profiles.eval_v(sol, x_f, t) - profiles.eval_v(tsol, x_f, t)),
         )
     lines = [
         "h0,xi,b0,omega,roundtrip_h0,max_profile_gap",
         ",".join(_fmt(v) for v in
-                 (phys.h0, sol.xi, b0, tsol.omega, h0_back, gap)),
+                 (phys.h0, sol.xi, b0, tsol.xi, h0_back, gap)),
     ]
     _write_lines(args.out, lines)
     return EXIT_OK
@@ -224,22 +220,14 @@ def cmd_verify(args) -> int:
     phys, dl = _load(args)
     opts = _opts(args)
     try:
-        sol = _solve_solution(phys, dl, args, opts)
+        sol = _solve_solution(phys, dl, args, opts, args.perturb_front)
     except NoRootFound:
         print("no root found; nothing to verify", file=sys.stderr)
         return EXIT_NO_SOLUTION
-    if args.perturb_front != 1.0:
-        if isinstance(sol, profiles.ConvectiveSolution):
-            sol = profiles.build_convective_solution(
-                phys, dl, sol.xi * args.perturb_front)
-        else:
-            sol = profiles.build_temperature_solution(
-                phys, dl, sol.omega * args.perturb_front)
+    verify = (verification.verify_temperature if args.mode == "temperature"
+              else verification.verify_convective)
     try:
-        if isinstance(sol, profiles.ConvectiveSolution):
-            report = verification.verify_convective(sol)
-        else:
-            report = verification.verify_temperature(sol)
+        report = verify(sol)
     except VerificationFailed as err:
         if err.report is not None and args.out:
             Path(args.out).write_text(err.report.to_json() + "\n")

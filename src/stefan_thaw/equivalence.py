@@ -11,16 +11,11 @@ extrapolate.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import HypothesesNotMet
-from .model import DimensionlessParams, PhysicalParams
-from .profiles import (
-    ConvectiveSolution,
-    TemperatureSolution,
-    build_temperature_solution,
-)
+from .model import DimensionlessParams
+from .profiles import Solution, build_temperature_solution
 from .solver import SolveOptions, solve_omega
 from .special import g_eval, lhs_limit_at_zero
 
@@ -49,36 +44,34 @@ def _require_regime(dl: DimensionlessParams, p_max: float = 1.0):
         raise HypothesesNotMet(f"requires p <= {p_max}, got p = {dl.p_par}")
 
 
-def b0_from_convective(sol: ConvectiveSolution) -> float:
+def b0_from_convective(sol: Solution) -> float:
     """Wall temperature induced by the convective solution.
 
-    B0 = (B g(p, xi) + A M K0 xi^2) / (g(p, xi) + K0) = u(0, t); satisfies
-    A M xi^2 < B0 < B.
+    B0 = (B g(p, xi) + A M K0 xi^2) / (g(p, xi) + K0) = u(0, t), the
+    solution's c1; satisfies A M xi^2 < B0 < B.
     """
     dl = sol.dimless
     _require_regime(dl)
     if lhs_limit_at_zero(dl) <= 0.0:
         raise HypothesesNotMet("requires h0 above the critical threshold")
-    g_xi = g_eval(dl.p_par, sol.xi)
-    am_sq = dl.a_init * dl.m_par * sol.xi ** 2
-    return (dl.b_ext * g_xi + am_sq * dl.k0) / (g_xi + dl.k0)
+    return sol.wall_temp
 
 
-def k0_from_temperature(sol: TemperatureSolution, b_ext: float) -> float:
+def k0_from_temperature(sol: Solution, b_ext: float) -> float:
     """Dimensionless Robin group K0 recovering the temperature solution:
     K0 = (B - B0) g(p, omega) / (B0 - A M omega^2)."""
     dl = sol.dimless
     _require_regime(dl)
-    b0 = sol.b0
+    b0 = sol.wall_temp
     if b_ext <= b0:
         raise HypothesesNotMet(f"requires B > B0, got B = {b_ext}, B0 = {b0}")
-    am_sq = dl.a_init * dl.m_par * sol.omega ** 2
+    am_sq = dl.a_init * dl.m_par * sol.xi ** 2
     if b0 - am_sq <= 0.0:
         raise HypothesesNotMet("requires B0 > A M omega^2")
-    return (b_ext - b0) * g_eval(dl.p_par, sol.omega) / (b0 - am_sq)
+    return (b_ext - b0) * g_eval(dl.p_par, sol.xi) / (b0 - am_sq)
 
 
-def h0_from_temperature(sol: TemperatureSolution, b_ext: float) -> float:
+def h0_from_temperature(sol: Solution, b_ext: float) -> float:
     """Heat-transfer coefficient recovering the temperature solution:
     h0 = k_U (B0 - A M omega^2) / (2 alpha_U (B - B0) g(p, omega))."""
     if sol.phys is None:
@@ -87,7 +80,7 @@ def h0_from_temperature(sol: TemperatureSolution, b_ext: float) -> float:
     return sol.phys.k_u / (2.0 * sol.dimless.alpha_u * k0)
 
 
-def omega_inequality_check(sol: TemperatureSolution, b_ext: float) -> InequalityResult:
+def omega_inequality_check(sol: Solution, b_ext: float) -> InequalityResult:
     """Front-coefficient inequality for the fixed-wall problem:
 
     (B0 - A M omega^2) / g(p, omega) > 2 alpha_U k_F A (B - B0)
@@ -95,23 +88,23 @@ def omega_inequality_check(sol: TemperatureSolution, b_ext: float) -> Inequality
     """
     dl = sol.dimless
     _require_regime(dl)
-    b0 = sol.b0
+    b0 = sol.wall_temp
     if b_ext <= b0:
         raise HypothesesNotMet(f"requires B > B0, got B = {b_ext}, B0 = {b0}")
-    am_sq = dl.a_init * dl.m_par * sol.omega ** 2
-    lhs = (b0 - am_sq) / g_eval(dl.p_par, sol.omega)
+    am_sq = dl.a_init * dl.m_par * sol.xi ** 2
+    lhs = (b0 - am_sq) / g_eval(dl.p_par, sol.xi)
     # 2 alpha_U k_F A / (alpha_F k_U sqrt(pi)) = (delta2 / delta1) * B
     rhs = (dl.delta2 / dl.delta1) * dl.b_ext * (b_ext - b0) / b_ext
     return InequalityResult(holds=lhs > rhs, margin=lhs - rhs, lhs=lhs, rhs=rhs)
 
 
-def omega_inequality_limit_check(sol: TemperatureSolution) -> InequalityResult:
+def omega_inequality_limit_check(sol: Solution) -> InequalityResult:
     """B -> infinity form: (B0 - A M omega^2)/g(p, omega) > 2 alpha_U A k_F
     / (alpha_F k_U sqrt(pi))."""
     dl = sol.dimless
     _require_regime(dl)
-    am_sq = dl.a_init * dl.m_par * sol.omega ** 2
-    lhs = (sol.b0 - am_sq) / g_eval(dl.p_par, sol.omega)
+    am_sq = dl.a_init * dl.m_par * sol.xi ** 2
+    lhs = (sol.wall_temp - am_sq) / g_eval(dl.p_par, sol.xi)
     rhs = (dl.delta2 / dl.delta1) * dl.b_ext
     return InequalityResult(holds=lhs > rhs, margin=lhs - rhs, lhs=lhs, rhs=rhs)
 
@@ -132,8 +125,8 @@ def omega_infinity(dl: DimensionlessParams, opts: SolveOptions | None = None,
     return roots.principal
 
 
-def temperature_counterpart(sol: ConvectiveSolution,
-                            opts: SolveOptions | None = None) -> TemperatureSolution:
+def temperature_counterpart(sol: Solution,
+                            opts: SolveOptions | None = None) -> Solution:
     """Solve the fixed-wall problem with the wall value induced by the
     convective solution; the fronts must coincide."""
     b0 = b0_from_convective(sol)

@@ -1,8 +1,11 @@
 """Closed-form temperature fields and the free boundary.
 
-Both problems share the structure: the unfrozen-zone field is an affine
-function of the profile integral int_0^eta exp(-r^2 + p r xi) dr with
-eta = x / (2 alpha_U sqrt(t)), the frozen-zone field is affine in
+Both boundary problems share one solution type. The unfrozen-zone field is
+u = c1 + c2 int_0^eta exp(-r^2 + p r xi) dr with eta = x / (2 alpha_U sqrt(t)),
+so c1 = u(0, t) is the wall value: the fixed-wall problem prescribes it
+(c1 = B0), the convective problem induces it through the Robin condition.
+A convective solution is therefore the fixed-wall solution whose wall value
+is its own c1. The frozen-zone field is affine in
 erf(x / (2 alpha_F sqrt(t))), and the front is s(t) = 2 xi alpha_U sqrt(t).
 Fields are only defined on their own phase region; out-of-region queries
 raise rather than extrapolate.
@@ -19,22 +22,21 @@ from .model import DimensionlessParams, PhysicalParams
 from .special import g_eval, g_partial, partial_integrand
 
 __all__ = [
-    "ConvectiveSolution", "TemperatureSolution",
-    "build_convective_solution", "build_temperature_solution",
+    "Solution", "build_convective_solution", "build_temperature_solution",
     "eval_u", "eval_v", "eval_front", "eval_u_x", "eval_v_x",
-    "eval_U", "eval_V", "eval_U_x", "eval_V_x",
-    "eval_temperature_problem",
 ]
 
 _REL_SLACK = 1e-12  # tolerated relative overshoot at the front
 
 
 @dataclass(frozen=True)
-class ConvectiveSolution:
-    """Similarity solution of the convective (Robin) problem.
+class Solution:
+    """Similarity solution of the convective or the fixed-wall problem.
 
-    c1, c2 are the unfrozen-zone profile coefficients; c3, c4 the frozen-zone
-    ones. The interface temperature u(s(t), t) = A M xi^2 is time independent.
+    xi is the front coefficient; c1 = u(0, t) the wall value and c2 the
+    coefficient of the profile integral in the unfrozen zone; c3, c4 the
+    frozen-zone coefficients. The interface temperature
+    u(s(t), t) = A M xi^2 is time independent.
     """
 
     xi: float
@@ -43,7 +45,7 @@ class ConvectiveSolution:
     c3: float
     c4: float
     dimless: DimensionlessParams
-    phys: PhysicalParams
+    phys: PhysicalParams | None
 
     @property
     def interface_temp(self) -> float:
@@ -54,25 +56,10 @@ class ConvectiveSolution:
         """u(0, t) = c1, time independent."""
         return self.c1
 
-
-@dataclass(frozen=True)
-class TemperatureSolution:
-    """Similarity solution of the fixed-wall-temperature problem."""
-
-    omega: float
-    c2: float      # coefficient of the profile integral; U(0,t) = B0 exactly
-    c3: float
-    c4: float
-    dimless: DimensionlessParams
-    phys: PhysicalParams
-
     @property
-    def b0(self) -> float:
-        return self.dimless.b0_wall
-
-    @property
-    def interface_temp(self) -> float:
-        return self.dimless.a_init * self.dimless.m_par * self.omega ** 2
+    def omega(self) -> float:
+        """The front coefficient under its fixed-wall name."""
+        return self.xi
 
 
 def _frozen_coefficients(dl: DimensionlessParams, front_coef: float):
@@ -84,7 +71,7 @@ def _frozen_coefficients(dl: DimensionlessParams, front_coef: float):
 
 
 def build_convective_solution(phys: PhysicalParams, dl: DimensionlessParams,
-                              xi: float) -> ConvectiveSolution:
+                              xi: float) -> Solution:
     if dl.k0 is None:
         raise DomainError("convective solution needs h0-bearing parameters")
     if xi <= 0.0:
@@ -95,11 +82,11 @@ def build_convective_solution(phys: PhysicalParams, dl: DimensionlessParams,
     c1 = (dl.b_ext * g_xi + am_sq * dl.k0) / den
     c2 = (am_sq - dl.b_ext) / den
     c3, c4 = _frozen_coefficients(dl, xi)
-    return ConvectiveSolution(xi=xi, c1=c1, c2=c2, c3=c3, c4=c4, dimless=dl, phys=phys)
+    return Solution(xi=xi, c1=c1, c2=c2, c3=c3, c4=c4, dimless=dl, phys=phys)
 
 
 def build_temperature_solution(phys: PhysicalParams | None, dl: DimensionlessParams,
-                               omega: float) -> TemperatureSolution:
+                               omega: float) -> Solution:
     if dl.b0_wall is None:
         raise DomainError("temperature solution needs B0-bearing parameters")
     if omega <= 0.0:
@@ -108,22 +95,18 @@ def build_temperature_solution(phys: PhysicalParams | None, dl: DimensionlessPar
     am_sq = dl.a_init * dl.m_par * omega ** 2
     c2 = (am_sq - dl.b0_wall) / g_om
     c3, c4 = _frozen_coefficients(dl, omega)
-    return TemperatureSolution(omega=omega, c2=c2, c3=c3, c4=c4, dimless=dl, phys=phys)
+    return Solution(xi=omega, c1=dl.b0_wall, c2=c2, c3=c3, c4=c4, dimless=dl, phys=phys)
 
 
-def eval_front(sol, t: float) -> float:
+def eval_front(sol: Solution, t: float) -> float:
     """Front position s(t) = 2 xi alpha_U sqrt(t)."""
     if t < 0.0:
         raise DomainError(f"t must be >= 0, got {t}")
-    coef = sol.xi if isinstance(sol, ConvectiveSolution) else sol.omega
-    return 2.0 * coef * sol.dimless.alpha_u * math.sqrt(t)
+    return 2.0 * sol.xi * sol.dimless.alpha_u * math.sqrt(t)
 
 
-def _eta(sol, x: float, t: float) -> float:
-    return x / (2.0 * sol.dimless.alpha_u * math.sqrt(t))
-
-
-def _check_unfrozen(sol, x: float, t: float) -> float:
+def _check_unfrozen(sol: Solution, x: float, t: float) -> float:
+    """Validate (x, t) for the unfrozen zone and return eta, clipped to xi."""
     if t <= 0.0:
         raise DomainError(f"t must be > 0, got {t}")
     if x < 0.0:
@@ -131,10 +114,10 @@ def _check_unfrozen(sol, x: float, t: float) -> float:
     s = eval_front(sol, t)
     if x > s * (1.0 + _REL_SLACK):
         raise OutOfPhaseRegion(f"x = {x} is beyond the front s({t}) = {s}")
-    return min(_eta(sol, x, t), sol.xi if isinstance(sol, ConvectiveSolution) else sol.omega)
+    return min(x / (2.0 * sol.dimless.alpha_u * math.sqrt(t)), sol.xi)
 
 
-def _check_frozen(sol, x: float, t: float) -> None:
+def _check_frozen(sol: Solution, x: float, t: float) -> None:
     if t <= 0.0:
         raise DomainError(f"t must be > 0, got {t}")
     s = eval_front(sol, t)
@@ -142,14 +125,13 @@ def _check_frozen(sol, x: float, t: float) -> None:
         raise OutOfPhaseRegion(f"x = {x} is before the front s({t}) = {s}")
 
 
-def eval_u(sol: ConvectiveSolution, x: float, t: float) -> float:
-    """Unfrozen-zone temperature of the convective problem, 0 <= x <= s(t)."""
+def eval_u(sol: Solution, x: float, t: float) -> float:
+    """Unfrozen-zone temperature, 0 <= x <= s(t); u(0, t) = c1 exactly."""
     eta = _check_unfrozen(sol, x, t)
-    dl = sol.dimless
-    return sol.c1 + sol.c2 * g_partial(dl.p_par, sol.xi, eta)
+    return sol.c1 + sol.c2 * g_partial(sol.dimless.p_par, sol.xi, eta)
 
 
-def eval_u_x(sol: ConvectiveSolution, x: float, t: float) -> float:
+def eval_u_x(sol: Solution, x: float, t: float) -> float:
     """Analytic spatial derivative of u (avoids differencing noise in the
     interface energy balance)."""
     eta = _check_unfrozen(sol, x, t)
@@ -159,58 +141,15 @@ def eval_u_x(sol: ConvectiveSolution, x: float, t: float) -> float:
     )
 
 
-def _frozen_value(sol, x: float, t: float) -> float:
+def eval_v(sol: Solution, x: float, t: float) -> float:
+    """Frozen-zone temperature, x >= s(t); tends to -A as x -> infinity."""
+    _check_frozen(sol, x, t)
     arg = x / (2.0 * sol.dimless.alpha_f * math.sqrt(t))
     return sol.c3 + sol.c4 * erf(arg)
 
 
-def _frozen_deriv(sol, x: float, t: float) -> float:
+def eval_v_x(sol: Solution, x: float, t: float) -> float:
+    _check_frozen(sol, x, t)
     half = 2.0 * sol.dimless.alpha_f * math.sqrt(t)
     arg = x / half
     return sol.c4 * (2.0 / math.sqrt(math.pi)) * math.exp(-arg * arg) / half
-
-
-def eval_v(sol: ConvectiveSolution, x: float, t: float) -> float:
-    """Frozen-zone temperature of the convective problem, x >= s(t);
-    tends to -A as x -> infinity."""
-    _check_frozen(sol, x, t)
-    return _frozen_value(sol, x, t)
-
-
-def eval_v_x(sol: ConvectiveSolution, x: float, t: float) -> float:
-    _check_frozen(sol, x, t)
-    return _frozen_deriv(sol, x, t)
-
-
-def eval_temperature_problem(sol: TemperatureSolution, x: float, t: float) -> float:
-    """Temperature of the fixed-wall problem at (x, t), either phase region."""
-    if t <= 0.0:
-        raise DomainError(f"t must be > 0, got {t}")
-    s = eval_front(sol, t)
-    if x <= s:
-        eta = _check_unfrozen(sol, x, t)
-        return sol.b0 + sol.c2 * g_partial(sol.dimless.p_par, sol.omega, eta)
-    return _frozen_value(sol, x, t)
-
-
-def eval_U(sol: TemperatureSolution, x: float, t: float) -> float:
-    """Unfrozen-zone field of the fixed-wall problem; U(0, t) = B0 exactly."""
-    eta = _check_unfrozen(sol, x, t)
-    return sol.b0 + sol.c2 * g_partial(sol.dimless.p_par, sol.omega, eta)
-
-
-def eval_U_x(sol: TemperatureSolution, x: float, t: float) -> float:
-    eta = _check_unfrozen(sol, x, t)
-    return sol.c2 * partial_integrand(sol.dimless.p_par, sol.omega, eta) / (
-        2.0 * sol.dimless.alpha_u * math.sqrt(t)
-    )
-
-
-def eval_V(sol: TemperatureSolution, x: float, t: float) -> float:
-    _check_frozen(sol, x, t)
-    return _frozen_value(sol, x, t)
-
-
-def eval_V_x(sol: TemperatureSolution, x: float, t: float) -> float:
-    _check_frozen(sol, x, t)
-    return _frozen_deriv(sol, x, t)

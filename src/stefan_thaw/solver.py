@@ -318,8 +318,10 @@ def classify(dl: DimensionlessParams, h0_present: bool = True,
 def solve_xi(dl: DimensionlessParams, opts: SolveOptions | None = None):
     """Enumerate roots of the convective front equation.
 
-    Returns (RootSet, RegimeReport). Raises NoRootFound (with the report
-    attached) when no sign change lies inside the scan window.
+    Returns (RootSet, RegimeReport). Raises NoRootFound when no sign change
+    lies inside the scan window, and UniquenessViolation when a unique root
+    is guaranteed in the report's range but not exactly one is found there;
+    both carry the report and the root set as attributes.
     """
     if dl.k0 is None:
         raise DomainError("convective solve needs h0-bearing parameters")
@@ -338,10 +340,13 @@ def solve_xi(dl: DimensionlessParams, opts: SolveOptions | None = None):
     if report.guarantee == "UniqueInRange" and report.root_range is not None:
         inside = roots.in_range(report.root_range[1])
         if len(inside) != 1:
-            report.notes.append(
-                f"uniqueness violation: {len(inside)} roots inside "
-                f"(0, {report.root_range[1]:.6g})"
+            err = UniquenessViolation(
+                f"{len(inside)} roots inside (0, {report.root_range[1]:.6g}) where "
+                "the convective problem has a unique solution"
             )
+            err.report = report
+            err.root_set = roots
+            raise err
     return roots, report
 
 

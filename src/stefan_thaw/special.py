@@ -26,8 +26,7 @@ from ._erf import erf, erfcx
 from .errors import DomainError, NonFiniteInput, OverflowUnrepresentable
 
 __all__ = [
-    "g_eval", "log_g", "g_partial", "partial_integrand",
-    "g1_eval", "log_g1_eval", "g1_tilde_eval", "g2_eval",
+    "g_eval", "g_partial", "partial_integrand", "g1_eval", "g2_eval",
     "lhs_convective", "lhs_temperature", "lhs_limit_at_zero", "rhs_eval",
 ]
 
@@ -53,12 +52,12 @@ def _check_y(y, allow_zero=True):
 
 
 def _g_and_log(p: float, y: np.ndarray):
-    """Return (g, log g, used_scaled) elementwise; y >= 0.
+    """Return (g, log g) elementwise; y >= 0.
 
-    used_scaled marks points where the naive closed form would overflow in
-    double precision and a scaled/log-space path was taken. The work is done
-    on an array of at least one dimension, so a scalar y gets exactly the
-    value it has inside a vector.
+    Where the naive closed form would overflow in double precision a
+    scaled/log-space path is taken. The work is done on an array of at least
+    one dimension, so a scalar y gets exactly the value it has inside a
+    vector.
     """
     shape = np.shape(y)
     y = np.atleast_1d(y)
@@ -82,7 +81,6 @@ def _g_and_log(p: float, y: np.ndarray):
             scaled = _SQRT_PI_2 * (erfcx(b) - erfcx(c1 * y) * np.exp((p - 1.0) * y * y))
             g = np.where(b < 1.0, direct, scaled)
             log_g = np.where(g > 0.0, np.log(np.where(g > 0.0, g, 1.0)), -np.inf)
-            used = np.zeros_like(g, dtype=bool)
         else:  # p > 2
             a = -c1 * y  # (p/2 - 1) y >= 0
             grow = (p - 1.0) * y * y
@@ -100,47 +98,35 @@ def _g_and_log(p: float, y: np.ndarray):
                 direct > 0.0, np.log(np.where(direct > 0.0, direct, 1.0)), -np.inf
             )
             log_g = np.where(use_scaled, log_g_scaled, log_g_direct)
-            used = use_scaled
 
-    return g.reshape(shape), log_g.reshape(shape), used.reshape(shape)
+    return g.reshape(shape), log_g.reshape(shape)
 
 
-def g_eval(p: float, y, return_info: bool = False):
+def g_eval(p: float, y):
     """Kernel integral int_0^y exp(-r^2 + p r y) dr; zero iff y = 0.
 
-    Returns +inf where the true value exceeds the double range. With
-    ``return_info=True`` also returns a bool mask of points that required
-    scaled (log-space) evaluation.
+    Returns +inf where the true value exceeds the double range.
     """
     _check_finite("p", p)
     y = _check_y(y, allow_zero=True)
-    g, _, used = _g_and_log(float(p), y)
-    if y.ndim == 0:
-        return (float(g), bool(used)) if return_info else float(g)
-    return (g, used) if return_info else g
+    g, _ = _g_and_log(float(p), y)
+    return float(g) if y.ndim == 0 else g
 
 
-def log_g(p: float, y):
-    """log of g(p, y), finite wherever g is positive and representable in logs."""
-    _check_finite("p", p)
-    y = _check_y(y, allow_zero=True)
-    _, lg, _ = _g_and_log(float(p), y)
-    return float(lg) if y.ndim == 0 else lg
-
-
-def g1_eval(p: float, y, k0, return_info: bool = False):
+def g1_eval(p: float, y, k0):
     """G1(p, y) = exp((p-1) y^2) / (K0 + g(p, y)).
 
     Numerator and denominator exponentials are combined in log space before
     exponentiation, so the result is finite whenever the true value is.
-    ``k0`` may be an array broadcasting against ``y``.
+    ``k0`` may be an array broadcasting against ``y``; K0 = 0 gives the
+    fixed-wall block G1~ = exp((p-1) y^2) / g(p, y), undefined at y = 0.
     """
     _check_finite("p", p)
     k0 = np.asarray(k0, dtype=float)
     if not np.all(np.isfinite(k0) & (k0 >= 0.0)):
         raise NonFiniteInput(f"k0 must be finite and >= 0, got {k0}")
     y = _check_y(y, allow_zero=False)
-    _, lg, used = _g_and_log(float(p), y)
+    _, lg = _g_and_log(float(p), y)
     with np.errstate(divide="ignore"):
         log_den = np.logaddexp(np.log(k0), lg)  # K0 = 0 leaves log g
     if not np.all(k0 > 0.0) and np.any(np.isneginf(log_den)):
@@ -149,26 +135,7 @@ def g1_eval(p: float, y, k0, return_info: bool = False):
     if np.any(exponent > _EXP_MAX):
         raise OverflowUnrepresentable("G1 exceeds the double-precision range")
     out = np.exp(exponent)
-    if np.ndim(out) == 0:
-        return (float(out), bool(used)) if return_info else float(out)
-    return (out, used) if return_info else out
-
-
-def log_g1_eval(p: float, y, k0: float):
-    """log G1(p, y): stays finite far past the double underflow threshold."""
-    _check_finite("p", p)
-    if not (np.isfinite(k0) and k0 >= 0.0):
-        raise NonFiniteInput(f"k0 must be finite and >= 0, got {k0}")
-    y = _check_y(y, allow_zero=False)
-    _, lg, _ = _g_and_log(float(p), y)
-    log_den = np.logaddexp(math.log(k0), lg) if k0 > 0.0 else lg
-    out = (p - 1.0) * y * y - log_den
-    return float(out) if y.ndim == 0 else out
-
-
-def g1_tilde_eval(p: float, y, return_info: bool = False):
-    """G1 with K0 = 0: exp((p-1) y^2) / g(p, y); undefined at y = 0."""
-    return g1_eval(p, y, 0.0, return_info=return_info)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def g2_eval(y, gamma0: float):
@@ -217,7 +184,7 @@ def lhs_temperature(y, dl):
         raise DomainError("temperature LHS needs B0-bearing parameters")
     y_arr = _check_y(y, allow_zero=False)
     m, p = dl.m_par, dl.p_par
-    g1t = g1_tilde_eval(p, y_arr)
+    g1t = g1_eval(p, y_arr, 0.0)
     g2 = g2_eval(y_arr, dl.gamma0)
     ratio = dl.a_init * m / dl.b0_wall
     out = (

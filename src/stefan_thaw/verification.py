@@ -5,7 +5,10 @@ The closed forms are differenced numerically in the similarity variable
 mapped back to the governing equations, manufactured-solutions style. The
 interface energy balance uses the analytic one-sided derivatives, so it is a
 sharp detector: a front coefficient that does not solve the transcendental
-equation fails it at first order.
+equation fails it at first order. Both boundary problems run through one
+check body; only the boundary condition at x = 0 differs, so
+``verify_convective`` (Robin flux) and ``verify_temperature`` (wall value)
+each pass theirs in.
 """
 
 from __future__ import annotations
@@ -18,19 +21,7 @@ import numpy as np
 
 from .errors import DomainError, VerificationFailed
 from .model import DimensionlessParams
-from .profiles import (
-    ConvectiveSolution,
-    TemperatureSolution,
-    eval_front,
-    eval_u,
-    eval_u_x,
-    eval_U,
-    eval_U_x,
-    eval_v,
-    eval_v_x,
-    eval_V,
-    eval_V_x,
-)
+from .profiles import Solution, eval_front, eval_u, eval_u_x, eval_v, eval_v_x
 from .special import g1_eval, g2_eval
 
 __all__ = [
@@ -89,28 +80,32 @@ def _fit_order(levels, residuals):
     return float(slope), float(r2)
 
 
-def _front_coef(sol) -> float:
-    return sol.xi if isinstance(sol, ConvectiveSolution) else sol.omega
+def _unfrozen_window(xi: float, steps, n: int):
+    """n sample points on one eta-window [lo, xi - lo], and the steps to
+    difference them with.
+
+    Every refinement level samples the same points, so the fitted order
+    sees only the step. On a shallow front, where the coarsest step exceeds
+    0.2 xi, every step is scaled by one common factor to bring it to 0.2 xi;
+    that shifts each log step equally and leaves the fitted order unchanged.
+    """
+    scale = min(1.0, 0.2 * xi / max(steps))
+    steps = [h * scale for h in steps]
+    lo = max(0.05 * xi, 2.0 * max(steps))
+    return np.linspace(lo, xi - lo, n), steps
 
 
-def _pde_residual_unfrozen(sol, u_of, t: float, h: float, n: int) -> float:
+def _pde_residual_unfrozen(sol: Solution, etas, t: float, h: float) -> float:
     """Max-norm residual of the advection-diffusion equation on the unfrozen
     zone, differenced in eta: Phi'' + 2 (eta - b rho xi) Phi' = 0."""
     dl = sol.dimless
-    coef = _front_coef(sol)
-    lo = max(0.05 * coef, 2.0 * h)
-    hi = coef - lo
-    if hi <= lo:  # front too shallow for this step: difference relative to it
-        h = 0.02 * coef
-        lo, hi = 2.0 * h, coef - 2.0 * h
-    etas = np.linspace(lo, hi, n)
     half = 2.0 * dl.alpha_u * math.sqrt(t)
 
     def phi(e):
-        return u_of(sol, e * half, t)
+        return eval_u(sol, e * half, t)
 
     worst = 0.0
-    drift = dl.b_coef * dl.rho_jump * coef
+    drift = dl.b_coef * dl.rho_jump * sol.xi
     for e in etas:
         f_m, f_0, f_p = phi(e - h), phi(e), phi(e + h)
         d1 = (f_p - f_m) / (2.0 * h)
@@ -120,16 +115,16 @@ def _pde_residual_unfrozen(sol, u_of, t: float, h: float, n: int) -> float:
     return worst
 
 
-def _pde_residual_frozen(sol, v_of, t: float, h: float, n: int) -> float:
+def _pde_residual_frozen(sol: Solution, t: float, h: float, n: int) -> float:
     """Max-norm residual of the diffusion equation on the frozen zone,
     differenced in eta_F: Psi'' + 2 eta_F Psi' = 0."""
     dl = sol.dimless
-    start = dl.gamma0 * _front_coef(sol)
+    start = dl.gamma0 * sol.xi
     etas = np.linspace(start + max(0.1, 2.0 * h), start + 2.5, n)
     half = 2.0 * dl.alpha_f * math.sqrt(t)
 
     def psi(e):
-        return v_of(sol, e * half, t)
+        return eval_v(sol, e * half, t)
 
     worst = 0.0
     for e in etas:
@@ -141,25 +136,24 @@ def _pde_residual_frozen(sol, v_of, t: float, h: float, n: int) -> float:
     return worst
 
 
-def _interface_gaps(sol, u_of, ux_of, v_of, vx_of, times):
+def _interface_gaps(sol: Solution, times):
     """(interface temperature gap, energy balance gap), max over probe times."""
     dl = sol.dimless
     phys = sol.phys
     if phys is None:
         raise DomainError("verification needs dimensional parameters (k_U, k_F)")
-    coef = _front_coef(sol)
     temp_gap = 0.0
     balance_gap = 0.0
     for t in times:
         s = eval_front(sol, t)
-        s_dot = coef * dl.alpha_u / math.sqrt(t)
+        s_dot = sol.xi * dl.alpha_u / math.sqrt(t)
         pressure_temp = dl.d_coef * dl.rho_jump * s * s_dot
         temp_gap = max(
             temp_gap,
-            abs(u_of(sol, s, t) - pressure_temp),
-            abs(v_of(sol, s, t) - pressure_temp),
+            abs(eval_u(sol, s, t) - pressure_temp),
+            abs(eval_v(sol, s, t) - pressure_temp),
         )
-        flux = phys.k_f * vx_of(sol, s, t) - phys.k_u * ux_of(sol, s, t)
+        flux = phys.k_f * eval_v_x(sol, s, t) - phys.k_u * eval_u_x(sol, s, t)
         sink = dl.alpha_lat * s_dot + dl.beta_coef * dl.rho_jump * s * s_dot ** 2
         balance_gap = max(balance_gap, abs(flux - sink))
     return temp_gap, balance_gap
@@ -193,33 +187,29 @@ def _finish(report: ResidualReport, cfg: VerifyConfig, boundary_name: str):
     return report
 
 
-def verify_convective(sol: ConvectiveSolution, cfg: VerifyConfig | None = None) -> ResidualReport:
-    """Check the convective similarity solution against the full system."""
+def _verify(sol: Solution, cfg: VerifyConfig | None, boundary_name: str,
+            boundary_gap) -> ResidualReport:
+    """Check a similarity solution against the full system; ``boundary_gap(t)``
+    is the gap in the condition at x = 0 at time t."""
     cfg = cfg or VerifyConfig()
     dl = sol.dimless
-    phys = sol.phys
+    etas, u_steps = _unfrozen_window(sol.xi, cfg.eta_steps, cfg.n_samples)
 
     pde_u = [
-        max(_pde_residual_unfrozen(sol, eval_u, t, h, cfg.n_samples)
-            for t in cfg.probe_times)
-        for h in cfg.eta_steps
+        max(_pde_residual_unfrozen(sol, etas, t, h) for t in cfg.probe_times)
+        for h in u_steps
     ]
     pde_v = [
-        max(_pde_residual_frozen(sol, eval_v, t, h, cfg.n_samples)
-            for t in cfg.probe_times)
+        max(_pde_residual_frozen(sol, t, h, cfg.n_samples) for t in cfg.probe_times)
         for h in cfg.eta_steps
     ]
-    temp_gap, balance_gap = _interface_gaps(
-        sol, eval_u, eval_u_x, eval_v, eval_v_x, cfg.probe_times
-    )
+    temp_gap, balance_gap = _interface_gaps(sol, cfg.probe_times)
     bc_gap = 0.0
     far_gap = 0.0
     for t in cfg.probe_times:
-        flux = phys.k_u * eval_u_x(sol, 0.0, t)
-        robin = (phys.h0 / math.sqrt(t)) * (eval_u(sol, 0.0, t) - phys.b_ext)
-        bc_gap = max(bc_gap, abs(flux - robin))
+        bc_gap = max(bc_gap, boundary_gap(t))
         x_far = cfg.farfield_eta * dl.alpha_f * math.sqrt(t)
-        far_gap = max(far_gap, abs(eval_v(sol, x_far, t) + phys.a_init))
+        far_gap = max(far_gap, abs(eval_v(sol, x_far, t) + dl.a_init))
 
     report = ResidualReport(
         levels=list(cfg.eta_steps),
@@ -227,41 +217,28 @@ def verify_convective(sol: ConvectiveSolution, cfg: VerifyConfig | None = None) 
         interface_temp_gap=temp_gap, stefan_balance_gap=balance_gap,
         boundary_gap=bc_gap, farfield_gap=far_gap,
     )
-    return _finish(report, cfg, "convective_bc_gap")
+    return _finish(report, cfg, boundary_name)
 
 
-def verify_temperature(sol: TemperatureSolution, cfg: VerifyConfig | None = None) -> ResidualReport:
-    """Check the fixed-wall similarity solution against the full system."""
-    cfg = cfg or VerifyConfig()
-    dl = sol.dimless
+def verify_convective(sol: Solution, cfg: VerifyConfig | None = None) -> ResidualReport:
+    """Check a solution of the convective problem: the Robin condition
+    k_U u_x(0, t) = (h0 / sqrt(t)) (u(0, t) - B) at the wall."""
+    phys = sol.phys
 
-    pde_u = [
-        max(_pde_residual_unfrozen(sol, eval_U, t, h, cfg.n_samples)
-            for t in cfg.probe_times)
-        for h in cfg.eta_steps
-    ]
-    pde_v = [
-        max(_pde_residual_frozen(sol, eval_V, t, h, cfg.n_samples)
-            for t in cfg.probe_times)
-        for h in cfg.eta_steps
-    ]
-    temp_gap, balance_gap = _interface_gaps(
-        sol, eval_U, eval_U_x, eval_V, eval_V_x, cfg.probe_times
-    )
-    wall_gap = 0.0
-    far_gap = 0.0
-    for t in cfg.probe_times:
-        wall_gap = max(wall_gap, abs(eval_U(sol, 0.0, t) - sol.b0))
-        x_far = cfg.farfield_eta * dl.alpha_f * math.sqrt(t)
-        far_gap = max(far_gap, abs(eval_V(sol, x_far, t) + dl.a_init))
+    def robin_gap(t):
+        flux = phys.k_u * eval_u_x(sol, 0.0, t)
+        robin = (phys.h0 / math.sqrt(t)) * (eval_u(sol, 0.0, t) - phys.b_ext)
+        return abs(flux - robin)
 
-    report = ResidualReport(
-        levels=list(cfg.eta_steps),
-        pde_u_residual=pde_u, pde_v_residual=pde_v,
-        interface_temp_gap=temp_gap, stefan_balance_gap=balance_gap,
-        boundary_gap=wall_gap, farfield_gap=far_gap,
-    )
-    return _finish(report, cfg, "wall_bc_gap")
+    return _verify(sol, cfg, "convective_bc_gap", robin_gap)
+
+
+def verify_temperature(sol: Solution, cfg: VerifyConfig | None = None) -> ResidualReport:
+    """Check a solution of the fixed-wall problem: u(0, t) = B0."""
+    b0 = sol.dimless.b0_wall
+    if b0 is None:
+        raise DomainError("the wall-value check needs B0-bearing parameters")
+    return _verify(sol, cfg, "wall_bc_gap", lambda t: abs(eval_u(sol, 0.0, t) - b0))
 
 
 def asymptotic_suite(dl: DimensionlessParams, y_far: float = 40.0,

@@ -27,8 +27,6 @@ from stefan_thaw.profiles import (
     eval_front,
     eval_u,
     eval_v,
-    eval_U,
-    eval_V,
 )
 from stefan_thaw.solver import SolveOptions, critical_h0, solve_omega, solve_xi
 from stefan_thaw.special import g2_eval, g_eval, lhs_convective, rhs_eval
@@ -170,8 +168,8 @@ def test_criterion_5_round_trips():
             s = eval_front(sol, t)
             x_u = float(rng.uniform(0.0, s))
             x_f = s * float(rng.uniform(1.0, 4.0))
-            assert abs(eval_u(sol, x_u, t) - eval_U(tsol, x_u, t)) <= 1e-9 * scale
-            assert abs(eval_v(sol, x_f, t) - eval_V(tsol, x_f, t)) <= 1e-9 * scale
+            assert abs(eval_u(sol, x_u, t) - eval_u(tsol, x_u, t)) <= 1e-9 * scale
+            assert abs(eval_v(sol, x_f, t) - eval_v(tsol, x_f, t)) <= 1e-9 * scale
 
 
 def test_criterion_6_front_inequalities():
@@ -190,7 +188,7 @@ def test_criterion_6_front_inequalities():
         tsol = build_temperature_solution(phys, dl, solve_omega(dl).principal)
         d_u = phys.k_u / (phys.rho_u * phys.c_u)
         d_f = phys.k_f / (phys.rho_f * phys.c_f)
-        bound = (tsol.b0 / phys.a_init) * (phys.k_u / phys.k_f) * math.sqrt(d_f / d_u)
+        bound = (tsol.wall_temp / phys.a_init) * (phys.k_u / phys.k_f) * math.sqrt(d_f / d_u)
         assert erf(tsol.omega) < bound
 
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -79,6 +80,16 @@ class TestProfile:
         assert regions <= {"U", "F", "front"}
         assert {"U", "F"} <= regions
 
+    def test_temperature_mode(self, tmp_path):
+        out = tmp_path / "profile.csv"
+        assert main(["profile", CONVECTIVE, "--mode", "temperature", "--points", "50",
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 50
+        assert {"U", "F"} <= {row[2] for row in rows}
+        # the wall value of the fixed-wall problem is b0_wall = 3.0 exactly
+        assert rows[0][1:] == ["0.0", "U", "3.0"]
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["profile", CONVECTIVE, "--out", str(a)])
@@ -108,6 +119,16 @@ class TestSweep:
 
 
 class TestImport:
+    @pytest.mark.parametrize("module", [
+        "special", "model", "solver", "profiles", "equivalence", "verification",
+    ])
+    def test_public_names_exist(self, module):
+        # tools that walk __all__ (tracers, star imports) fail on a stale entry
+        mod = importlib.import_module(f"stefan_thaw.{module}")
+        assert mod.__all__
+        for name in mod.__all__:
+            assert hasattr(mod, name), f"{module}.__all__ names missing {name}"
+
     def test_no_scipy_at_import(self):
         # scipy.special alone costs about 0.45 s and 25 MB at start-up
         code = ("import sys, stefan_thaw.cli; "
@@ -152,3 +173,12 @@ class TestVerify:
     def test_temperature_mode_pass(self, capsys):
         assert main(["verify", CONVECTIVE, "--mode", "temperature"]) == 0
         assert "verification: PASS" in capsys.readouterr().out
+
+    def test_temperature_mode_perturbed_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["verify", CONVECTIVE, "--mode", "temperature",
+                     "--perturb-front", "1.01", "--out", str(out)]) == 3
+        assert "verification: FAIL" in capsys.readouterr().out
+        payload = json.loads(out.read_text())
+        assert payload["ok"] is False
+        assert payload["stefan_balance_gap"] > 1e-3

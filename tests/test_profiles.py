@@ -9,11 +9,7 @@ from stefan_thaw.model import reduce_params
 from stefan_thaw.profiles import (
     build_convective_solution,
     build_temperature_solution,
-    eval_U,
-    eval_U_x,
-    eval_V,
     eval_front,
-    eval_temperature_problem,
     eval_u,
     eval_u_x,
     eval_v,
@@ -75,8 +71,8 @@ class TestInterfaceAndWall:
 
     def test_temperature_wall_value_exact(self, sol_temp):
         for t in (0.25, 1.0, 4.0):
-            assert eval_U(sol_temp, 0.0, t) == sol_temp.b0
-            assert eval_temperature_problem(sol_temp, 0.0, t) == sol_temp.b0
+            assert eval_u(sol_temp, 0.0, t) == sol_temp.dimless.b0_wall
+            assert sol_temp.wall_temp == sol_temp.dimless.b0_wall
 
 
 class TestFarField:
@@ -95,9 +91,7 @@ class TestFarField:
     def test_temperature_problem_far_field(self, sol_temp):
         a = sol_temp.dimless.a_init
         x_far = 40.0 * sol_temp.dimless.alpha_f
-        assert abs(eval_V(sol_temp, x_far, 1.0) + a) <= 1e-8 * a
-        assert eval_temperature_problem(sol_temp, x_far, 1.0) == eval_V(
-            sol_temp, x_far, 1.0)
+        assert abs(eval_v(sol_temp, x_far, 1.0) + a) <= 1e-8 * a
 
 
 class TestFront:
@@ -143,9 +137,9 @@ class TestSelfSimilarity:
     def test_temperature_problem(self, sol_temp):
         t = 0.8
         s = eval_front(sol_temp, t)
-        for x in (0.3 * s, 0.9 * s, 2.0 * s):
-            assert eval_temperature_problem(sol_temp, 2 * x, 4 * t) == pytest.approx(
-                eval_temperature_problem(sol_temp, x, t), rel=1e-13, abs=1e-13)
+        for field, x in ((eval_u, 0.3 * s), (eval_u, 0.9 * s), (eval_v, 2.0 * s)):
+            assert field(sol_temp, 2 * x, 4 * t) == pytest.approx(
+                field(sol_temp, x, t), rel=1e-13, abs=1e-13)
 
 
 class TestPhaseRegions:
@@ -184,5 +178,5 @@ class TestTemperatureDerivative:
         t = 1.0
         s = eval_front(sol_temp, t)
         x, h = 0.4 * s, 1e-7 * s
-        fd = (eval_U(sol_temp, x + h, t) - eval_U(sol_temp, x - h, t)) / (2 * h)
-        assert eval_U_x(sol_temp, x, t) == pytest.approx(fd, rel=1e-6)
+        fd = (eval_u(sol_temp, x + h, t) - eval_u(sol_temp, x - h, t)) / (2 * h)
+        assert eval_u_x(sol_temp, x, t) == pytest.approx(fd, rel=1e-6)

@@ -4,9 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stefan_thaw.errors import DomainError, NoRootFound, ToleranceNotReached
+from stefan_thaw import solver
+from stefan_thaw.errors import (
+    DomainError,
+    NoRootFound,
+    ToleranceNotReached,
+    UniquenessViolation,
+)
 from stefan_thaw.model import reduce_params
 from stefan_thaw.solver import (
+    RootSet,
     SolveOptions,
     _find_roots,
     classify,
@@ -165,6 +172,17 @@ class TestSolveXi:
             solve_xi(dl)
         assert exc.value.report.guarantee == "NoneInRange"
         assert exc.value.root_set.roots == []
+
+    def test_uniqueness_violation_raises_with_report(self, dl_pp, monkeypatch):
+        # a root engine that finds two roots where M > 0, N > 0, p <= 1
+        # guarantees exactly one
+        two = RootSet(roots=[0.1, 0.2], brackets=[(0.09, 0.11), (0.19, 0.21)],
+                      residuals=[0.0, 0.0], scan_max=4.0, scan_points=2048)
+        monkeypatch.setattr(solver, "_find_roots", lambda *args, **kwargs: [two])
+        with pytest.raises(UniquenessViolation, match="2 roots inside") as exc:
+            solve_xi(dl_pp)
+        assert exc.value.report.guarantee == "UniqueInRange"
+        assert exc.value.root_set is two
 
     def test_solutions_scale_free_in_time(self, dl_pp):
         # the front equation knows nothing about t; options changes that keep

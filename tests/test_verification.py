@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from stefan_thaw.errors import VerificationFailed
+from stefan_thaw.equivalence import temperature_counterpart
+from stefan_thaw.errors import DomainError, VerificationFailed
 from stefan_thaw.model import reduce_params
 from stefan_thaw.profiles import (
     build_convective_solution,
@@ -76,6 +77,36 @@ class TestConvectiveVerification:
         }
 
 
+class TestShallowFront:
+    # a medium whose true front coefficient is shallow (xi ~ 0.043): a
+    # sampling window that moved with the step made the fitted pde_u order
+    # 1.61 < 1.8 and rejected this correct solution
+    F2_MEDIUM = dict(
+        epsilon=0.5212239649791841, rho_w=1.0, rho_i=0.917, c_w=1.0,
+        c_i=0.6953389003056538, c_u=0.8, c_f=0.6, k_u=0.0014, k_f=0.0053,
+        rho_u=1.2, rho_f=1.4, latent_l=69.9548808700423,
+        gamma_cc=0.1938544759318886, mu=0.0179, perm_k=1e-7,
+        a_init=3.1779742066221095, b_ext=6.083257112999655,
+        h0=0.03143431182590702,
+    )
+
+    def test_true_solution_and_counterpart_pass(self):
+        sol = convective_solution(make_phys(**self.F2_MEDIUM))
+        assert sol.xi == pytest.approx(0.0429, rel=1e-2)
+        report = verify_convective(sol)
+        assert report.ok
+        assert report.refinement_orders["pde_u"] >= 1.8
+        assert verify_temperature(temperature_counterpart(sol)).ok
+
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_perturbed_fronts_rejected(self, factor):
+        phys = make_phys(**self.F2_MEDIUM)
+        sol = convective_solution(phys)
+        bad = build_convective_solution(phys, sol.dimless, sol.xi * factor)
+        with pytest.raises(VerificationFailed, match="stefan_balance_gap"):
+            verify_convective(bad)
+
+
 class TestClassicalVerification:
     def test_zero_density_jump(self):
         phys = make_phys(rho_i=1.0)
@@ -95,6 +126,11 @@ class TestTemperatureVerification:
         assert report.ok
         # the wall value is a coefficient of the closed form
         assert report.boundary_gap <= 1e-14
+
+    def test_needs_wall_value(self, phys_pp):
+        # a convective solution of a medium without B0 has no wall value to check
+        with pytest.raises(DomainError):
+            verify_temperature(convective_solution(phys_pp))
 
     def test_perturbed_front_rejected(self):
         phys = make_phys(b0_wall=3.0)
