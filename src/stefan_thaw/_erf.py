@@ -122,5 +122,10 @@ def erfc(x):
 
 def erfcx(x):
     """exp(x^2) erfc(x), finite for every x above -26.6."""
-    out = _calerf(x, 2)
-    return out if out.ndim else float(out)
+    return scalar_or_array(_calerf(x, 2))
+
+
+def scalar_or_array(out):
+    """A 0-d result as a Python float, an array unchanged. Tested by type, as
+    np.ndim of a Python float first builds an array (about 2 us a call)."""
+    return out if isinstance(out, np.ndarray) and out.ndim else float(out)

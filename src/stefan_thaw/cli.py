@@ -122,7 +122,7 @@ def cmd_solve(args) -> int:
 
 def cmd_classify(args) -> int:
     phys, dl = _load(args)
-    rep = solver.classify(dl, h0_present=dl.k0 is not None, opts=_opts(args))
+    rep = solver.classify(dl, opts=_opts(args))
     _print_dimless(dl)
     print(f"critical h0 = {_fmt(solver.critical_h0(phys))}")
     _print_report(rep)

@@ -35,13 +35,13 @@ class InequalityResult:
     rhs: float
 
 
-def _require_regime(dl: DimensionlessParams, p_max: float = 1.0):
+def _require_regime(dl: DimensionlessParams):
     if not (dl.m_par > 0.0 and dl.n_par > 0.0) and not dl.classical:
         raise HypothesesNotMet(
             f"requires M > 0 and N > 0, got M = {dl.m_par}, N = {dl.n_par}"
         )
-    if dl.p_par > p_max:
-        raise HypothesesNotMet(f"requires p <= {p_max}, got p = {dl.p_par}")
+    if dl.p_par > 1.0:
+        raise HypothesesNotMet(f"requires p <= 1.0, got p = {dl.p_par}")
 
 
 def b0_from_convective(sol: Solution) -> float:
@@ -109,17 +109,15 @@ def omega_inequality_limit_check(sol: Solution) -> InequalityResult:
     return InequalityResult(holds=lhs > rhs, margin=lhs - rhs, lhs=lhs, rhs=rhs)
 
 
-def omega_infinity(dl: DimensionlessParams, opts: SolveOptions | None = None,
-                   allow_p_le_2: bool = False) -> float:
+def omega_infinity(dl: DimensionlessParams, opts: SolveOptions | None = None) -> float:
     """Front coefficient of the fixed-wall problem with wall value B.
 
     This is the h0 -> infinity limit of the convective problem; every
-    convective front coefficient lies strictly below it. The proven regime
-    is p <= 1; ``allow_p_le_2=True`` opts into the exploratory 1 < p <= 2
-    range, where uniqueness of the temperature solution still holds but the
-    bound on the convective coefficient is unproven.
+    convective front coefficient lies strictly below it, which is proven for
+    p <= 1. For 1 < p <= 2 the fixed-wall root is still unique (solve_omega's
+    report) but the bound is unproven, so this refuses p > 1.
     """
-    _require_regime(dl, p_max=2.0 if allow_p_le_2 else 1.0)
+    _require_regime(dl)
     dl_b = dl.with_b0(dl.b_ext)
     roots = solve_omega(dl_b, opts)
     return roots.principal

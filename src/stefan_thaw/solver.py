@@ -29,7 +29,7 @@ from .special import lhs_convective, lhs_limit_at_zero, lhs_temperature, rhs_eva
 __all__ = [
     "SolveOptions", "RootSet", "RegimeReport",
     "critical_h0", "classify", "solve_xi", "solve_omega",
-    "monotonicity_sweep", "smallest_lhs_zero",
+    "monotonicity_sweep",
 ]
 
 _EPS = np.finfo(float).eps
@@ -109,11 +109,6 @@ def _default_scan_max(dl: DimensionlessParams, b_like: float) -> float:
     if dl.n_par != 0.0:
         cands.append(math.sqrt(1.0 / abs(dl.n_par)))
     return 4.0 * max(cands)
-
-
-def _window(opts: SolveOptions, dl: DimensionlessParams, b_like: float):
-    scan_max = opts.scan_max or _default_scan_max(dl, b_like)
-    return opts.scan_min or scan_max * 1e-12, scan_max
 
 
 def _polish(f, x1, x2, f1, f2, rows):
@@ -207,14 +202,20 @@ def _find_roots(f, scan_min: float, scan_max: float, n_points: int, tol: float,
     return sets
 
 
-def smallest_lhs_zero(dl: DimensionlessParams, opts: SolveOptions | None = None) -> float | None:
-    """Smallest positive zero q1 of the convective LHS, or None if no sign
-    change lies inside the scan window."""
-    opts = opts or SolveOptions()
-    scan_min, scan_max = _window(opts, dl, dl.b_ext)
-    zeros = _find_roots(lambda y, _: (lhs_convective(y, dl), 0.0),
-                        scan_min, scan_max, opts.scan_points, opts.tolerance)[0]
-    return zeros.roots[0] if zeros.roots else None
+def _scan(lhs, dl: DimensionlessParams, opts: SolveOptions, wall: float, n_rows: int = 1,
+          q1_row: bool = False) -> list[RootSet]:
+    """Roots of LHS = RHS, the LHS from ``lhs(y, rows)``, in one _find_roots
+    call on the options' window (by default set by the data and the
+    wall-side value ``wall``, B or B0). With ``q1_row`` the RHS is weighted
+    by the row index: row 0 solves LHS = 0, whose smallest root is q1, and
+    row 1 LHS = RHS, on one LHS evaluation."""
+    def f(y, rows):
+        rhs = rhs_eval(dl.n_par, y)
+        return lhs(y, rows), rows * rhs if q1_row else rhs
+
+    scan_max = opts.scan_max or _default_scan_max(dl, wall)
+    return _find_roots(f, opts.scan_min or scan_max * 1e-12, scan_max, opts.scan_points,
+                       opts.tolerance, n_rows)
 
 
 def _p_class(p: float) -> str:
@@ -229,16 +230,35 @@ def _sign_label(x: float) -> str:
     return "+" if x > 0.0 else ("-" if x < 0.0 else "0")
 
 
-def classify(dl: DimensionlessParams, h0_present: bool = True,
-             opts: SolveOptions | None = None) -> RegimeReport:
+def _bare_report(dl: DimensionlessParams) -> RegimeReport:
+    """An Unclassified report with the signs of M, N and the class of p."""
+    return RegimeReport(m_sign=_sign_label(dl.m_par), n_sign=_sign_label(dl.n_par),
+                        p_class=_p_class(dl.p_par), h0_condition=None)
+
+
+def _reads_q1(dl: DimensionlessParams) -> bool:
+    """Whether a convective clause reads q1: M < 0, N != 0, h0 above critical."""
+    return (dl.k0 is not None and dl.m_par < 0.0 and dl.n_par != 0.0
+            and lhs_limit_at_zero(dl) > 0.0)
+
+
+def classify(dl: DimensionlessParams, opts: SolveOptions | None = None) -> RegimeReport:
     """Total classification of the convective front equation by the signs of
-    M and N; records every hypothesis it evaluates."""
+    M and N; records every hypothesis it evaluates. Where a clause needs q1,
+    the smallest zero of the LHS, the LHS alone is scanned for it."""
+    q1 = None
+    if _reads_q1(dl):
+        zeros = _scan(lambda y, _: lhs_convective(y, dl), dl, opts or SolveOptions(),
+                      dl.b_ext, q1_row=True)[0]
+        q1 = next(iter(zeros.roots), None)
+    return _convective_report(dl, q1)
+
+
+def _convective_report(dl: DimensionlessParams, q1: float | None) -> RegimeReport:
+    """classify's clauses; q1 is None where no LHS zero was found or none is read."""
     m, n, p = dl.m_par, dl.n_par, dl.p_par
-    rep = RegimeReport(
-        m_sign=_sign_label(m), n_sign=_sign_label(n), p_class=_p_class(p),
-        h0_condition=None,
-    )
-    if not h0_present or dl.k0 is None:
+    rep = _bare_report(dl)
+    if dl.k0 is None:
         rep.notes.append("no h0 given; classification needs the convective problem")
         return rep
 
@@ -260,14 +280,12 @@ def classify(dl: DimensionlessParams, h0_present: bool = True,
                 rep.guarantee, rep.citation = "UniqueInRange", "pp-unique"
             else:
                 rep.guarantee, rep.citation = "AtLeastOne", "pp-at-least-one"
-        else:
-            if p <= 1.0:
-                rep.guarantee, rep.citation = "NoneInRange", "pp-none"
-                rep.root_range = (0.0, math.sqrt(b_over_am))
-            # p > 1 below threshold: no clause applies
+        elif p <= 1.0:  # p > 1 below threshold: no clause applies
+            rep.guarantee, rep.citation = "NoneInRange", "pp-none"
+            rep.root_range = (0.0, math.sqrt(b_over_am))
         return rep
 
-    if m > 0.0 and n < 0.0:
+    if m > 0.0:  # n < 0
         cond = dl.b_ext < dl.a_init * m / abs(n)
         rep.extra_conditions["b_lt_am_over_abs_n"] = cond
         if above and cond:
@@ -275,31 +293,14 @@ def classify(dl: DimensionlessParams, h0_present: bool = True,
             rep.root_range = (0.0, math.sqrt(b_over_am))
         return rep
 
-    if m < 0.0 and n > 0.0:
-        if above:
-            q1 = smallest_lhs_zero(dl, opts)
-            rep.extra_conditions["lhs_has_positive_zeros"] = (
-                True if q1 is not None else None
-            )
-            if q1 is not None:
-                rep.guarantee, rep.citation = "AtLeastOne", "mp-at-least-one"
-                rep.root_range = (0.0, q1)
-            else:
-                rep.notes.append("no LHS zero inside scan window: hypothesis unverified")
+    if above:  # m < 0: the clauses read q1
+        rep.extra_conditions["lhs_has_positive_zeros"] = True if q1 is not None else None
+        if q1 is None:
+            rep.notes.append("no LHS zero inside scan window: hypothesis unverified")
+        elif n > 0.0:
+            rep.guarantee, rep.citation = "AtLeastOne", "mp-at-least-one"
+            rep.root_range = (0.0, q1)
         else:
-            cond = n < dl.delta2 * math.sqrt(math.pi) * abs(m) * dl.gamma0
-            rep.extra_conditions["n_lt_delta2_sqrt_pi_abs_m_gamma0"] = cond
-            if cond:
-                rep.guarantee, rep.citation = "AtLeastOne", "mp-at-least-one-below"
-        return rep
-
-    # m < 0, n < 0
-    if above:
-        q1 = smallest_lhs_zero(dl, opts)
-        rep.extra_conditions["lhs_has_positive_zeros"] = (
-            True if q1 is not None else None
-        )
-        if q1 is not None:
             bound = math.sqrt(1.0 / abs(n))
             rep.extra_conditions["q1_lt_inv_sqrt_abs_n"] = q1 < bound
             if abs(q1 - bound) <= 1e-9 * bound:
@@ -308,71 +309,75 @@ def classify(dl: DimensionlessParams, h0_present: bool = True,
             elif q1 < bound:
                 rep.guarantee, rep.citation = "AtLeastTwo", "mm-two"
                 rep.root_range = (0.0, bound)
-        else:
-            rep.notes.append("no LHS zero inside scan window: hypothesis unverified")
+    elif n > 0.0:
+        cond = n < dl.delta2 * math.sqrt(math.pi) * abs(m) * dl.gamma0
+        rep.extra_conditions["n_lt_delta2_sqrt_pi_abs_m_gamma0"] = cond
+        if cond:
+            rep.guarantee, rep.citation = "AtLeastOne", "mp-at-least-one-below"
     elif gap < 0.0:
         rep.guarantee, rep.citation = "AtLeastOne", "mm-at-least-one"
     return rep
 
 
+def _fixed_wall_report(dl: DimensionlessParams) -> RegimeReport:
+    """For M > 0, N > 0, p <= 2 the fixed-wall root is unique in
+    (0, sqrt(B0/(A M))) (Fasano, Primicerio and Tarzia, Math. Models Meth.
+    Appl. Sci. 9 (1999) 1-10); no other clause is known."""
+    rep = _bare_report(dl)
+    if dl.m_par > 0.0 and dl.n_par > 0.0 and dl.p_par <= 2.0:
+        rep.guarantee, rep.citation = "UniqueInRange", "pp-wall-unique"
+        rep.root_range = (0.0, math.sqrt(dl.b0_wall / (dl.a_init * dl.m_par)))
+    return rep
+
+
+_NO_ROOT = {"convective": "no root in scan window",
+            "temperature": "no root of the temperature front equation in scan window"}
+
+
+def _solve(dl: DimensionlessParams, opts: SolveOptions | None, problem: str, wall: float,
+           lhs, regime, q1_row: bool = False):
+    """Roots of one problem's front equation and its report ``regime(q1)``,
+    q1 from the same scan where ``q1_row``. Raises NoRootFound when no root
+    lies in the window and UniquenessViolation when the report guarantees a
+    unique root in its range but not exactly one is found there; both carry
+    the report and the root set as attributes."""
+    sets = _scan(lambda y, _: lhs(y, dl), dl, opts or SolveOptions(), wall, 1 + q1_row,
+                 q1_row)
+    roots = sets[-1]
+    report = regime(next(iter(sets[0].roots), None) if q1_row else None)
+    inside = (len(roots.in_range(report.root_range[1]))
+              if report.guarantee == "UniqueInRange" else 1)
+    if not roots.roots:
+        err = NoRootFound(_NO_ROOT[problem] + (": no phase change, h0 <= critical"
+                                              if report.guarantee == "NoneInRange" else ""))
+    elif inside != 1:
+        err = UniquenessViolation(
+            f"{inside} roots inside (0, {report.root_range[1]:.6g}) where the "
+            f"{problem} problem has a unique solution")
+    else:
+        return roots, report
+    err.report, err.root_set = report, roots
+    raise err
+
+
 def solve_xi(dl: DimensionlessParams, opts: SolveOptions | None = None):
     """Enumerate roots of the convective front equation.
 
-    Returns (RootSet, RegimeReport). Raises NoRootFound when no sign change
-    lies inside the scan window, and UniquenessViolation when a unique root
-    is guaranteed in the report's range but not exactly one is found there;
-    both carry the report and the root set as attributes.
+    Returns (RootSet, RegimeReport); raises as _solve does.
     """
     if dl.k0 is None:
         raise DomainError("convective solve needs h0-bearing parameters")
-    opts = opts or SolveOptions()
-    report = classify(dl, h0_present=True, opts=opts)
-    roots = _find_roots(lambda y, _: (lhs_convective(y, dl), rhs_eval(dl.n_par, y)),
-                        *_window(opts, dl, dl.b_ext), opts.scan_points, opts.tolerance)[0]
-    if not roots.roots:
-        err = NoRootFound(
-            "no root in scan window"
-            + (": no phase change, h0 <= critical" if report.guarantee == "NoneInRange" else "")
-        )
-        err.report = report
-        err.root_set = roots
-        raise err
-    if report.guarantee == "UniqueInRange" and report.root_range is not None:
-        inside = roots.in_range(report.root_range[1])
-        if len(inside) != 1:
-            err = UniquenessViolation(
-                f"{len(inside)} roots inside (0, {report.root_range[1]:.6g}) where "
-                "the convective problem has a unique solution"
-            )
-            err.report = report
-            err.root_set = roots
-            raise err
-    return roots, report
+    return _solve(dl, opts, "convective", dl.b_ext, lhs_convective,
+                  lambda q1: _convective_report(dl, q1), _reads_q1(dl))
 
 
 def solve_omega(dl: DimensionlessParams, opts: SolveOptions | None = None) -> RootSet:
-    """Enumerate roots of the fixed-temperature front equation."""
+    """Enumerate roots of the fixed-temperature front equation; raises as
+    _solve does, against the fixed-wall report."""
     if dl.delta1_tilde is None or dl.b0_wall is None:
         raise DomainError("temperature solve needs B0-bearing parameters")
-    opts = opts or SolveOptions()
-    roots = _find_roots(lambda y, _: (lhs_temperature(y, dl), rhs_eval(dl.n_par, y)),
-                        *_window(opts, dl, dl.b0_wall), opts.scan_points, opts.tolerance)[0]
-    if not roots.roots:
-        raise NoRootFound("no root of the temperature front equation in scan window")
-    m, n, p = dl.m_par, dl.n_par, dl.p_par
-    if m > 0.0 and n > 0.0 and p <= 2.0:
-        bound = math.sqrt(dl.b0_wall / (dl.a_init * m))
-        inside = roots.in_range(bound)
-        if len(inside) > 1:
-            raise UniquenessViolation(
-                f"{len(inside)} roots inside (0, {bound:.6g}) where the "
-                "temperature problem has a unique solution"
-            )
-        if not inside:
-            raise UniquenessViolation(
-                f"root outside the guaranteed interval (0, {bound:.6g})"
-            )
-    return roots
+    return _solve(dl, opts, "temperature", dl.b0_wall, lhs_temperature,
+                  lambda _: _fixed_wall_report(dl))[0]
 
 
 def monotonicity_sweep(phys: PhysicalParams, h0_values, opts: SolveOptions | None = None,
@@ -394,16 +399,12 @@ def monotonicity_sweep(phys: PhysicalParams, h0_values, opts: SolveOptions | Non
     dls = [reduce_params(replace(phys, h0=h), classical=classical) for h in h0_values]
     dl = dls[0]
     k0 = np.array([d.k0 for d in dls])
-    sets = _find_roots(lambda y, rows: (lhs_convective(y, dl, k0[rows]), rhs_eval(dl.n_par, y)),
-                       *_window(opts, dl, dl.b_ext), opts.scan_points, opts.tolerance,
-                       n_rows=len(dls))
-    xis = []
+    sets = _scan(lambda y, rows: lhs_convective(y, dl, k0[rows]), dl, opts, dl.b_ext,
+                 len(dls))
     for h, roots in zip(h0_values, sets):
         if not roots.roots:
             raise NoRootFound(f"no root in scan window at h0 = {h:.6g}")
-        xis.append(roots.roots[0])
-
-    pairs = list(zip(h0_values, xis))
+    pairs = [(h, roots.roots[0]) for h, roots in zip(h0_values, sets)]
     for (h_a, x_a), (h_b, x_b) in zip(pairs, pairs[1:]):
         if x_b < x_a - opts.tolerance:
             raise MonotonicityViolation(

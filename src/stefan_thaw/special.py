@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from ._erf import erf, erfcx
+from ._erf import erf, erfcx, scalar_or_array
 from .errors import DomainError, NonFiniteInput, OverflowUnrepresentable
 
 __all__ = [
@@ -109,8 +109,7 @@ def g_eval(p: float, y):
     """
     _check_finite("p", p)
     y = _check_y(y, allow_zero=True)
-    g, _ = _g_and_log(float(p), y)
-    return float(g) if y.ndim == 0 else g
+    return scalar_or_array(_g_and_log(float(p), y)[0])
 
 
 def g1_eval(p: float, y, k0):
@@ -134,8 +133,7 @@ def g1_eval(p: float, y, k0):
     exponent = (p - 1.0) * y * y - log_den
     if np.any(exponent > _EXP_MAX):
         raise OverflowUnrepresentable("G1 exceeds the double-precision range")
-    out = np.exp(exponent)
-    return float(out) if np.ndim(out) == 0 else out
+    return scalar_or_array(np.exp(exponent))
 
 
 def g2_eval(y, gamma0: float):
@@ -143,16 +141,26 @@ def g2_eval(y, gamma0: float):
     if not (np.isfinite(gamma0) and gamma0 > 0.0):
         raise NonFiniteInput(f"gamma0 must be finite and > 0, got {gamma0}")
     y = _check_y(y, allow_zero=False)
-    out = 1.0 / erfcx(gamma0 * y)
-    return float(out) if y.ndim == 0 else out
+    return scalar_or_array(1.0 / erfcx(gamma0 * y))
 
 
 def rhs_eval(n: float, y):
     """Right side of the front equation: y + N y^3."""
     _check_finite("n", n)
     y = _check_y(y, allow_zero=False)
-    out = y + n * y ** 3
-    return float(out) if y.ndim == 0 else out
+    return scalar_or_array(y + n * y ** 3)
+
+
+def _lhs(y, dl, d1, wall, k0):
+    """d1 (1 - (A M / wall) y^2) G1(p, y) - delta2 (1 + M y^2) G2(y), G1 with
+    Robin group ``k0``: the fixed-wall equation is the convective one with
+    delta1~, B0 and K0 = 0."""
+    y = _check_y(y, allow_zero=False)
+    m = dl.m_par
+    g1 = g1_eval(dl.p_par, y, k0)
+    g2 = g2_eval(y, dl.gamma0)
+    ratio = dl.a_init * m / wall
+    return scalar_or_array(d1 * (1.0 - ratio * y ** 2) * g1 - dl.delta2 * (1.0 + m * y ** 2) * g2)
 
 
 def lhs_convective(y, dl, k0=None):
@@ -165,13 +173,7 @@ def lhs_convective(y, dl, k0=None):
     """
     if dl.k0 is None:
         raise DomainError("convective LHS needs h0-bearing parameters (k0)")
-    y_arr = _check_y(y, allow_zero=False)
-    m, p = dl.m_par, dl.p_par
-    g1 = g1_eval(p, y_arr, dl.k0 if k0 is None else k0)
-    g2 = g2_eval(y_arr, dl.gamma0)
-    ratio = dl.a_init * m / dl.b_ext
-    out = dl.delta1 * (1.0 - ratio * y_arr ** 2) * g1 - dl.delta2 * (1.0 + m * y_arr ** 2) * g2
-    return float(out) if np.ndim(out) == 0 else out
+    return _lhs(y, dl, dl.delta1, dl.b_ext, dl.k0 if k0 is None else k0)
 
 
 def lhs_temperature(y, dl):
@@ -182,16 +184,7 @@ def lhs_temperature(y, dl):
     """
     if dl.delta1_tilde is None or dl.b0_wall is None:
         raise DomainError("temperature LHS needs B0-bearing parameters")
-    y_arr = _check_y(y, allow_zero=False)
-    m, p = dl.m_par, dl.p_par
-    g1t = g1_eval(p, y_arr, 0.0)
-    g2 = g2_eval(y_arr, dl.gamma0)
-    ratio = dl.a_init * m / dl.b0_wall
-    out = (
-        dl.delta1_tilde * (1.0 - ratio * y_arr ** 2) * g1t
-        - dl.delta2 * (1.0 + m * y_arr ** 2) * g2
-    )
-    return float(out) if np.asarray(y).ndim == 0 else out
+    return _lhs(y, dl, dl.delta1_tilde, dl.b0_wall, 0.0)
 
 
 def lhs_limit_at_zero(dl) -> float:
@@ -215,13 +208,11 @@ def g_partial(p: float, xi: float, eta):
     c = 0.5 * p * xi
     if c * c > _EXP_MAX:
         raise OverflowUnrepresentable("profile integral scale exp(c^2) overflows")
-    out = _SQRT_PI_2 * math.exp(c * c) * (erf(eta - c) + erf(c))
-    return float(out) if eta.ndim == 0 else out
+    return scalar_or_array(_SQRT_PI_2 * math.exp(c * c) * (erf(eta - c) + erf(c)))
 
 
 def partial_integrand(p: float, xi: float, eta):
     """Integrand exp(-eta^2 + p eta xi) of the profile integral (for analytic
     spatial derivatives)."""
     eta = np.asarray(eta, dtype=float)
-    out = np.exp(-eta * eta + p * eta * xi)
-    return float(out) if eta.ndim == 0 else out
+    return scalar_or_array(np.exp(-eta * eta + p * eta * xi))

@@ -167,6 +167,12 @@ class TestInfiniteTransferBound:
         with pytest.raises(HypothesesNotMet, match="N > 0"):
             omega_infinity(dl)
 
+    def test_large_p_refused(self, phys_pp):
+        import dataclasses
+        dl = dataclasses.replace(reduce_params(phys_pp), p_par=1.5)
+        with pytest.raises(HypothesesNotMet, match="p <= 1"):
+            omega_infinity(dl)
+
 
 class TestRegimeGating:
     def test_counterpart_refused_outside_quadrant(self, phys_mm):

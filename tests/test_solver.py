@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from stefan_thaw.errors import (
     ToleranceNotReached,
     UniquenessViolation,
 )
-from stefan_thaw.model import reduce_params
+from stefan_thaw.model import load_config, reduce_params
 from stefan_thaw.solver import (
     RootSet,
     SolveOptions,
@@ -19,7 +20,6 @@ from stefan_thaw.solver import (
     classify,
     critical_h0,
     monotonicity_sweep,
-    smallest_lhs_zero,
     solve_omega,
     solve_xi,
 )
@@ -27,6 +27,15 @@ from stefan_thaw.special import lhs_convective, lhs_temperature, rhs_eval
 
 from conftest import make_phys
 from oracles import scan_bisect_roots
+
+CONVECTIVE_CFG = Path(__file__).resolve().parent.parent / "configs" / "thaw_convective.cfg"
+
+
+def oracle_q1(dl):
+    """Smallest zero of the convective LHS by the dense bisection oracle, on
+    the window solve_xi scans."""
+    scan_max = solve_xi(dl)[0].scan_max
+    return scan_bisect_roots(lambda y: lhs_convective(y, dl), scan_max * 1e-12, scan_max)[0]
 
 
 class TestCriticalH0:
@@ -89,7 +98,7 @@ class TestClassify:
         assert (rep.m_sign, rep.n_sign) == ("-", "+")
         assert rep.guarantee == "AtLeastOne"
         assert rep.citation == "mp-at-least-one"
-        q1 = smallest_lhs_zero(dl)
+        q1 = oracle_q1(dl)
         assert rep.root_range == (0.0, pytest.approx(q1, rel=1e-12))
 
     def test_mp_below(self, phys_mp):
@@ -119,7 +128,7 @@ class TestClassify:
     def test_mm_at_boundary_value(self, phys_mm):
         # tune N to -1/q1^2 so the guaranteed root sits exactly at q1
         dl = reduce_params(phys_mm)
-        q1 = smallest_lhs_zero(dl)
+        q1 = oracle_q1(dl)
         dl_b = replace(dl, n_par=-1.0 / q1 ** 2)
         rep = classify(dl_b)
         assert rep.guarantee == "ExistsAtQ1"
@@ -183,6 +192,21 @@ class TestSolveXi:
             solve_xi(dl_pp)
         assert exc.value.report.guarantee == "UniqueInRange"
         assert exc.value.root_set is two
+
+    def test_one_lhs_scan_per_solve(self, phys_mm, monkeypatch):
+        # q1 and the two fronts come from one evaluation of the LHS on the grid
+        dl = reduce_params(phys_mm)
+        grid_calls = []
+
+        def counted(y, *args, **kwargs):
+            grid_calls.append(np.size(y) == SolveOptions().scan_points)
+            return lhs_convective(y, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "lhs_convective", counted)
+        roots, rep = solve_xi(dl)
+        assert rep.guarantee == "AtLeastTwo"
+        assert len(roots.roots) == 2
+        assert sum(grid_calls) == 1
 
     def test_solutions_scale_free_in_time(self, dl_pp):
         # the front equation knows nothing about t; options changes that keep
@@ -282,6 +306,43 @@ class TestSolveOmega:
     def test_missing_wall_value(self, dl_pp):
         with pytest.raises(DomainError):
             solve_omega(dl_pp)
+
+    def test_report_bound_from_fixed_wall_clause(self):
+        # a window that stops short of the root: the report comes with the error
+        dl = reduce_params(load_config(CONVECTIVE_CFG))
+        omega = solve_omega(dl).principal
+        with pytest.raises(NoRootFound, match="temperature front equation") as exc:
+            solve_omega(dl, SolveOptions(scan_max=0.5 * omega))
+        rep = exc.value.report
+        assert rep.guarantee == "UniqueInRange"
+        assert rep.root_range == (0.0, math.sqrt(dl.b0_wall / (dl.a_init * dl.m_par)))
+        assert omega < rep.root_range[1]
+        assert exc.value.root_set.roots == []
+
+    @pytest.mark.parametrize("found", [[0.1, 0.2], []])
+    def test_uniqueness_violation_raises_with_report(self, found, monkeypatch):
+        # two roots, or none, inside (0, sqrt(B0/(A M))) where M > 0, N > 0,
+        # p <= 2 make the fixed-wall root unique
+        dl = reduce_params(make_phys(b0_wall=3.0))
+        bound = math.sqrt(dl.b0_wall / (dl.a_init * dl.m_par))
+        roots = found or [2.0 * bound]
+        got = RootSet(roots=roots, brackets=[(r, r) for r in roots],
+                      residuals=[0.0] * len(roots), scan_max=4.0 * bound, scan_points=2048)
+        monkeypatch.setattr(solver, "_find_roots", lambda *args, **kwargs: [got])
+        with pytest.raises(UniquenessViolation,
+                           match=f"{len(found)} roots inside .* temperature problem") as exc:
+            solve_omega(dl)
+        assert exc.value.report.guarantee == "UniqueInRange"
+        assert exc.value.report.root_range == (0.0, bound)
+        assert exc.value.root_set is got
+
+    def test_unclassified_outside_fixed_wall_clause(self):
+        dl = reduce_params(make_phys(c_i=1.5, b0_wall=3.0))
+        assert dl.m_par > 0.0 > dl.n_par
+        with pytest.raises(NoRootFound) as exc:
+            solve_omega(dl, SolveOptions(scan_max=1e-3))
+        assert exc.value.report.guarantee == "Unclassified"
+        assert exc.value.report.root_range is None
 
 
 class TestMonotonicitySweep:
