@@ -90,20 +90,16 @@ def cmd_solve(args) -> int:
     phys, dl = _load(args)
     opts = _opts(args)
     _print_dimless(dl)
-    if args.mode == "temperature":
-        if dl.b0_wall is None:
-            print("error: temperature mode needs b0_wall in the config", file=sys.stderr)
-            return EXIT_INPUT
-        roots = solver.solve_omega(dl, opts)
-        print(f"principal omega = {_fmt(roots.principal)}")
-        for r in roots.roots[1:]:
-            print(f"secondary root = {_fmt(r)}")
-        return EXIT_OK
-    if dl.k0 is None:
-        print("error: convective mode needs h0 in the config", file=sys.stderr)
+    temperature = args.mode == "temperature"
+    if (dl.b0_wall if temperature else dl.k0) is None:
+        need = "temperature mode needs b0_wall" if temperature else "convective mode needs h0"
+        print(f"error: {need} in the config", file=sys.stderr)
         return EXIT_INPUT
     try:
-        roots, report = solver.solve_xi(dl, opts)
+        if temperature:
+            roots, report = solver.solve_omega(dl, opts), solver.fixed_wall_report(dl)
+        else:
+            roots, report = solver.solve_xi(dl, opts)
     except NoRootFound as err:
         report = getattr(err, "report", None)
         if report is not None:
@@ -114,7 +110,7 @@ def cmd_solve(args) -> int:
             print(f"no root found: {err}")
         return EXIT_NO_SOLUTION
     _print_report(report)
-    print(f"principal xi = {_fmt(roots.principal)}")
+    print(f"principal {'omega' if temperature else 'xi'} = {_fmt(roots.principal)}")
     for r in roots.roots[1:]:
         print(f"secondary root = {_fmt(r)}")
     return EXIT_OK

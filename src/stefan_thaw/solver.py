@@ -28,7 +28,7 @@ from .special import lhs_convective, lhs_limit_at_zero, lhs_temperature, rhs_eva
 
 __all__ = [
     "SolveOptions", "RootSet", "RegimeReport",
-    "critical_h0", "classify", "solve_xi", "solve_omega",
+    "critical_h0", "classify", "fixed_wall_report", "solve_xi", "solve_omega",
     "monotonicity_sweep",
 ]
 
@@ -42,7 +42,6 @@ class SolveOptions:
     scan_max: float | None = None   # default derived from the data, see _default_scan_max
     scan_points: int = 2048
     tolerance: float = 1e-12        # on |LHS - RHS| / max(1, |LHS| + |RHS|) at a root
-    scan_min: float | None = None   # default scan_max * 1e-12
 
     def __post_init__(self):
         if self.scan_points < 8:
@@ -214,8 +213,8 @@ def _scan(lhs, dl: DimensionlessParams, opts: SolveOptions, wall: float, n_rows:
         return lhs(y, rows), rows * rhs if q1_row else rhs
 
     scan_max = opts.scan_max or _default_scan_max(dl, wall)
-    return _find_roots(f, opts.scan_min or scan_max * 1e-12, scan_max, opts.scan_points,
-                       opts.tolerance, n_rows)
+    return _find_roots(f, scan_max * 1e-12, scan_max, opts.scan_points, opts.tolerance,
+                       n_rows)
 
 
 def _p_class(p: float) -> str:
@@ -319,7 +318,7 @@ def _convective_report(dl: DimensionlessParams, q1: float | None) -> RegimeRepor
     return rep
 
 
-def _fixed_wall_report(dl: DimensionlessParams) -> RegimeReport:
+def fixed_wall_report(dl: DimensionlessParams) -> RegimeReport:
     """For M > 0, N > 0, p <= 2 the fixed-wall root is unique in
     (0, sqrt(B0/(A M))) (Fasano, Primicerio and Tarzia, Math. Models Meth.
     Appl. Sci. 9 (1999) 1-10); no other clause is known."""
@@ -377,7 +376,7 @@ def solve_omega(dl: DimensionlessParams, opts: SolveOptions | None = None) -> Ro
     if dl.delta1_tilde is None or dl.b0_wall is None:
         raise DomainError("temperature solve needs B0-bearing parameters")
     return _solve(dl, opts, "temperature", dl.b0_wall, lhs_temperature,
-                  lambda _: _fixed_wall_report(dl))[0]
+                  lambda _: fixed_wall_report(dl))[0]
 
 
 def monotonicity_sweep(phys: PhysicalParams, h0_values, opts: SolveOptions | None = None,

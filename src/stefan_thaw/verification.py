@@ -5,17 +5,16 @@ The closed forms are differenced numerically in the similarity variable
 mapped back to the governing equations, manufactured-solutions style. The
 interface energy balance uses the analytic one-sided derivatives, so it is a
 sharp detector: a front coefficient that does not solve the transcendental
-equation fails it at first order. Both boundary problems run through one
-check body; only the boundary condition at x = 0 differs, so
-``verify_convective`` (Robin flux) and ``verify_temperature`` (wall value)
-each pass theirs in.
+equation fails it at first order. One stencil differences both zones and
+one body checks both boundary problems: ``verify_convective`` (Robin flux)
+and ``verify_temperature`` (wall value) pass in only the condition at x = 0.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,20 +24,16 @@ from .profiles import Solution, eval_front, eval_u, eval_u_x, eval_v, eval_v_x
 from .special import g1_eval, g2_eval
 
 __all__ = [
-    "VerifyConfig", "ResidualReport",
-    "verify_convective", "verify_temperature", "asymptotic_suite",
+    "ResidualReport", "verify_convective", "verify_temperature", "asymptotic_suite",
 ]
 
-
-@dataclass(frozen=True)
-class VerifyConfig:
-    eta_steps: tuple = (1e-2, 5e-3, 2.5e-3)   # FD steps in the similarity variable
-    probe_times: tuple = (0.25, 1.0, 4.0)
-    n_samples: int = 64
-    gap_tol: float = 1e-8
-    min_order: float = 1.8
-    min_r2: float = 0.99
-    farfield_eta: float = 40.0                 # in units of alpha_F sqrt(t)
+_ETA_STEPS = (1e-2, 5e-3, 2.5e-3)       # FD steps in the similarity variable
+_PROBE_TIMES = (0.25, 1.0, 4.0)
+_N_SAMPLES = 64
+_GAP_TOL = 1e-8
+_MIN_ORDER = 1.8
+_MIN_R2 = 0.99
+_FARFIELD_ETA = 40.0                    # in units of alpha_F sqrt(t)
 
 
 @dataclass
@@ -54,18 +49,7 @@ class ResidualReport:
     ok: bool = False
 
     def to_json(self) -> str:
-        payload = {
-            "levels": self.levels,
-            "pde_u_residual": self.pde_u_residual,
-            "pde_v_residual": self.pde_v_residual,
-            "interface_temp_gap": self.interface_temp_gap,
-            "stefan_balance_gap": self.stefan_balance_gap,
-            "boundary_gap": self.boundary_gap,
-            "farfield_gap": self.farfield_gap,
-            "refinement_orders": self.refinement_orders,
-            "ok": self.ok,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _fit_order(levels, residuals):
@@ -80,8 +64,8 @@ def _fit_order(levels, residuals):
     return float(slope), float(r2)
 
 
-def _unfrozen_window(xi: float, steps, n: int):
-    """n sample points on one eta-window [lo, xi - lo], and the steps to
+def _unfrozen_window(xi: float):
+    """The sample points of one eta-window [lo, xi - lo], and the steps to
     difference them with.
 
     Every refinement level samples the same points, so the fitted order
@@ -89,25 +73,25 @@ def _unfrozen_window(xi: float, steps, n: int):
     0.2 xi, every step is scaled by one common factor to bring it to 0.2 xi;
     that shifts each log step equally and leaves the fitted order unchanged.
     """
-    scale = min(1.0, 0.2 * xi / max(steps))
-    steps = [h * scale for h in steps]
+    scale = min(1.0, 0.2 * xi / max(_ETA_STEPS))
+    steps = [h * scale for h in _ETA_STEPS]
     lo = max(0.05 * xi, 2.0 * max(steps))
-    return np.linspace(lo, xi - lo, n), steps
+    return np.linspace(lo, xi - lo, _N_SAMPLES), steps
 
 
-def _pde_residual_unfrozen(sol: Solution, etas, t: float, h: float) -> float:
-    """Max-norm residual of the advection-diffusion equation on the unfrozen
-    zone, differenced in eta: Phi'' + 2 (eta - b rho xi) Phi' = 0."""
-    dl = sol.dimless
-    half = 2.0 * dl.alpha_u * math.sqrt(t)
+def _in_eta(profile, sol: Solution, alpha: float, t: float):
+    """``profile`` at time t as a function of x / (2 alpha sqrt(t))."""
+    half = 2.0 * alpha * math.sqrt(t)
+    return lambda e: profile(sol, e * half, t)
 
-    def phi(e):
-        return eval_u(sol, e * half, t)
 
+def _pde_residual(field, etas, t: float, h: float, drift: float = 0.0) -> float:
+    """Max-norm residual of f'' + 2 (eta - drift) f' = 0 at time t, with f
+    differenced in eta at step h: the unfrozen zone's advection-diffusion
+    equation (drift b rho xi) or the frozen zone's diffusion equation (0)."""
     worst = 0.0
-    drift = dl.b_coef * dl.rho_jump * sol.xi
     for e in etas:
-        f_m, f_0, f_p = phi(e - h), phi(e), phi(e + h)
+        f_m, f_0, f_p = field(e - h), field(e), field(e + h)
         d1 = (f_p - f_m) / (2.0 * h)
         d2 = (f_p - 2.0 * f_0 + f_m) / (h * h)
         res = (d2 + 2.0 * (e - drift) * d1) / (4.0 * t)
@@ -115,36 +99,55 @@ def _pde_residual_unfrozen(sol: Solution, etas, t: float, h: float) -> float:
     return worst
 
 
-def _pde_residual_frozen(sol: Solution, t: float, h: float, n: int) -> float:
-    """Max-norm residual of the diffusion equation on the frozen zone,
-    differenced in eta_F: Psi'' + 2 eta_F Psi' = 0."""
-    dl = sol.dimless
-    start = dl.gamma0 * sol.xi
-    etas = np.linspace(start + max(0.1, 2.0 * h), start + 2.5, n)
-    half = 2.0 * dl.alpha_f * math.sqrt(t)
+def _finish(report: ResidualReport, boundary_name: str):
+    order_u, r2_u = _fit_order(report.levels, report.pde_u_residual)
+    order_v, r2_v = _fit_order(report.levels, report.pde_v_residual)
+    report.refinement_orders = {
+        "pde_u": order_u, "pde_u_r2": r2_u,
+        "pde_v": order_v, "pde_v_r2": r2_v,
+    }
+    gaps = [
+        ("interface_temp_gap", report.interface_temp_gap),
+        ("stefan_balance_gap", report.stefan_balance_gap),
+        (boundary_name, report.boundary_gap),
+        ("farfield_gap", report.farfield_gap),
+    ]
+    # written as "not within bound" so that a NaN fails
+    for name, value in gaps:
+        if not value <= _GAP_TOL:
+            raise VerificationFailed(name, value, _GAP_TOL, report=report)
+    for name, order, r2 in (("pde_u", order_u, r2_u), ("pde_v", order_v, r2_v)):
+        if not order >= _MIN_ORDER:
+            raise VerificationFailed(f"{name}_order", order, _MIN_ORDER,
+                                     report=report, lower_bound=True)
+        if not r2 >= _MIN_R2:
+            raise VerificationFailed(f"{name}_fit_r2", r2, _MIN_R2,
+                                     report=report, lower_bound=True)
+    report.ok = True
+    return report
 
-    def psi(e):
-        return eval_v(sol, e * half, t)
 
-    worst = 0.0
-    for e in etas:
-        f_m, f_0, f_p = psi(e - h), psi(e), psi(e + h)
-        d1 = (f_p - f_m) / (2.0 * h)
-        d2 = (f_p - 2.0 * f_0 + f_m) / (h * h)
-        res = (d2 + 2.0 * e * d1) / (4.0 * t)
-        worst = max(worst, abs(res))
-    return worst
-
-
-def _interface_gaps(sol: Solution, times):
-    """(interface temperature gap, energy balance gap), max over probe times."""
+def _verify(sol: Solution, boundary_name: str, boundary_gap) -> ResidualReport:
+    """Check a similarity solution against the full system; ``boundary_gap(t)``
+    is the gap in the condition at x = 0 at time t."""
     dl = sol.dimless
     phys = sol.phys
     if phys is None:
         raise DomainError("verification needs dimensional parameters (k_U, k_F)")
-    temp_gap = 0.0
-    balance_gap = 0.0
-    for t in times:
+    u_etas, u_steps = _unfrozen_window(sol.xi)
+    # the frozen window starts 0.1 past the front, above twice every step
+    start = dl.gamma0 * sol.xi
+    v_etas = np.linspace(start + 0.1, start + 2.5, _N_SAMPLES)
+    drift = dl.b_coef * dl.rho_jump * sol.xi
+
+    pde_u, pde_v = [0.0] * len(_ETA_STEPS), [0.0] * len(_ETA_STEPS)
+    temp_gap = balance_gap = bc_gap = far_gap = 0.0
+    for t in _PROBE_TIMES:
+        phi = _in_eta(eval_u, sol, dl.alpha_u, t)
+        psi = _in_eta(eval_v, sol, dl.alpha_f, t)
+        for i, (h_u, h_v) in enumerate(zip(u_steps, _ETA_STEPS)):
+            pde_u[i] = max(pde_u[i], _pde_residual(phi, u_etas, t, h_u, drift))
+            pde_v[i] = max(pde_v[i], _pde_residual(psi, v_etas, t, h_v))
         s = eval_front(sol, t)
         s_dot = sol.xi * dl.alpha_u / math.sqrt(t)
         pressure_temp = dl.d_coef * dl.rho_jump * s * s_dot
@@ -156,71 +159,20 @@ def _interface_gaps(sol: Solution, times):
         flux = phys.k_f * eval_v_x(sol, s, t) - phys.k_u * eval_u_x(sol, s, t)
         sink = dl.alpha_lat * s_dot + dl.beta_coef * dl.rho_jump * s * s_dot ** 2
         balance_gap = max(balance_gap, abs(flux - sink))
-    return temp_gap, balance_gap
-
-
-def _finish(report: ResidualReport, cfg: VerifyConfig, boundary_name: str):
-    order_u, r2_u = _fit_order(report.levels, report.pde_u_residual)
-    order_v, r2_v = _fit_order(report.levels, report.pde_v_residual)
-    report.refinement_orders = {
-        "pde_u": order_u, "pde_u_r2": r2_u,
-        "pde_v": order_v, "pde_v_r2": r2_v,
-    }
-    checks = [
-        ("interface_temp_gap", report.interface_temp_gap, cfg.gap_tol),
-        ("stefan_balance_gap", report.stefan_balance_gap, cfg.gap_tol),
-        (boundary_name, report.boundary_gap, cfg.gap_tol),
-        ("farfield_gap", report.farfield_gap, cfg.gap_tol),
-    ]
-    # written as "not within bound" so that a NaN fails
-    for name, value, tol in checks:
-        if not value <= tol:
-            raise VerificationFailed(name, value, tol, report=report)
-    for name, order, r2 in (("pde_u", order_u, r2_u), ("pde_v", order_v, r2_v)):
-        if not order >= cfg.min_order:
-            raise VerificationFailed(f"{name}_order", order, cfg.min_order,
-                                     report=report, lower_bound=True)
-        if not r2 >= cfg.min_r2:
-            raise VerificationFailed(f"{name}_fit_r2", r2, cfg.min_r2,
-                                     report=report, lower_bound=True)
-    report.ok = True
-    return report
-
-
-def _verify(sol: Solution, cfg: VerifyConfig | None, boundary_name: str,
-            boundary_gap) -> ResidualReport:
-    """Check a similarity solution against the full system; ``boundary_gap(t)``
-    is the gap in the condition at x = 0 at time t."""
-    cfg = cfg or VerifyConfig()
-    dl = sol.dimless
-    etas, u_steps = _unfrozen_window(sol.xi, cfg.eta_steps, cfg.n_samples)
-
-    pde_u = [
-        max(_pde_residual_unfrozen(sol, etas, t, h) for t in cfg.probe_times)
-        for h in u_steps
-    ]
-    pde_v = [
-        max(_pde_residual_frozen(sol, t, h, cfg.n_samples) for t in cfg.probe_times)
-        for h in cfg.eta_steps
-    ]
-    temp_gap, balance_gap = _interface_gaps(sol, cfg.probe_times)
-    bc_gap = 0.0
-    far_gap = 0.0
-    for t in cfg.probe_times:
         bc_gap = max(bc_gap, boundary_gap(t))
-        x_far = cfg.farfield_eta * dl.alpha_f * math.sqrt(t)
+        x_far = _FARFIELD_ETA * dl.alpha_f * math.sqrt(t)
         far_gap = max(far_gap, abs(eval_v(sol, x_far, t) + dl.a_init))
 
     report = ResidualReport(
-        levels=list(cfg.eta_steps),
+        levels=list(_ETA_STEPS),
         pde_u_residual=pde_u, pde_v_residual=pde_v,
         interface_temp_gap=temp_gap, stefan_balance_gap=balance_gap,
         boundary_gap=bc_gap, farfield_gap=far_gap,
     )
-    return _finish(report, cfg, boundary_name)
+    return _finish(report, boundary_name)
 
 
-def verify_convective(sol: Solution, cfg: VerifyConfig | None = None) -> ResidualReport:
+def verify_convective(sol: Solution) -> ResidualReport:
     """Check a solution of the convective problem: the Robin condition
     k_U u_x(0, t) = (h0 / sqrt(t)) (u(0, t) - B) at the wall."""
     phys = sol.phys
@@ -230,15 +182,15 @@ def verify_convective(sol: Solution, cfg: VerifyConfig | None = None) -> Residua
         robin = (phys.h0 / math.sqrt(t)) * (eval_u(sol, 0.0, t) - phys.b_ext)
         return abs(flux - robin)
 
-    return _verify(sol, cfg, "convective_bc_gap", robin_gap)
+    return _verify(sol, "convective_bc_gap", robin_gap)
 
 
-def verify_temperature(sol: Solution, cfg: VerifyConfig | None = None) -> ResidualReport:
+def verify_temperature(sol: Solution) -> ResidualReport:
     """Check a solution of the fixed-wall problem: u(0, t) = B0."""
     b0 = sol.dimless.b0_wall
     if b0 is None:
         raise DomainError("the wall-value check needs B0-bearing parameters")
-    return _verify(sol, cfg, "wall_bc_gap", lambda t: abs(eval_u(sol, 0.0, t) - b0))
+    return _verify(sol, "wall_bc_gap", lambda t: abs(eval_u(sol, 0.0, t) - b0))
 
 
 def asymptotic_suite(dl: DimensionlessParams, y_far: float = 40.0,

@@ -28,12 +28,22 @@ CASES = {
     "solve_two_roots": ["solve", "configs/thaw_two_roots.cfg"],
     "solve_classical": ["solve", "configs/thaw_classical.cfg", "--mode", "classical"],
     "solve_temperature": ["solve", "configs/thaw_convective.cfg", "--mode", "temperature"],
+    "solve_temperature_noroot": ["solve", "configs/thaw_convective.cfg", "--mode", "temperature",
+                                 "--scan-max", "0.1"],
     "classify_convective": ["classify", "configs/thaw_convective.cfg"],
     "classify_subcritical": ["classify", "configs/thaw_subcritical.cfg"],
     "classify_two_roots": ["classify", "configs/thaw_two_roots.cfg"],
     "classify_classical": ["classify", "configs/thaw_classical.cfg", "--mode", "classical"],
     "sweep_convective": ["sweep", "configs/thaw_convective.cfg", "--h0-points", "8"],
     "equiv_convective": ["equiv", "configs/thaw_convective.cfg"],
+    "verify_convective": ["verify", "configs/thaw_convective.cfg"],
+    "verify_temperature": ["verify", "configs/thaw_convective.cfg", "--mode", "temperature"],
+    "verify_perturbed": ["verify", "configs/thaw_convective.cfg", "--perturb-front", "1.01"],
+    "verify_two_roots": ["verify", "configs/thaw_two_roots.cfg"],
+    "verify_classical": ["verify", "configs/thaw_classical.cfg", "--mode", "classical"],
+    "profile_convective": ["profile", "configs/thaw_convective.cfg", "--points", "16"],
+    "profile_temperature": ["profile", "configs/thaw_convective.cfg", "--mode", "temperature",
+                            "--points", "16"],
 }
 
 

@@ -15,7 +15,6 @@ from stefan_thaw.solver import solve_omega, solve_xi
 from stefan_thaw import verification
 from stefan_thaw.verification import (
     ResidualReport,
-    VerifyConfig,
     asymptotic_suite,
     verify_convective,
     verify_temperature,
@@ -107,6 +106,30 @@ class TestShallowFront:
             verify_convective(bad)
 
 
+class TestSamplingWindows:
+    def test_each_zone_samples_one_window_at_every_level(self, phys_pp, monkeypatch):
+        calls = []
+        stencil = verification._pde_residual
+
+        def recorder(field, etas, t, h, drift=0.0):
+            calls.append((drift, h, tuple(etas)))
+            return stencil(field, etas, t, h, drift)
+
+        monkeypatch.setattr(verification, "_pde_residual", recorder)
+        sol = convective_solution(phys_pp)
+        assert verify_convective(sol).ok
+        unfrozen = [c for c in calls if c[0] != 0.0]
+        frozen = [c for c in calls if c[0] == 0.0]
+        # three levels at each of three probe times, per zone
+        assert len(unfrozen) == len(frozen) == 9
+        for zone in (unfrozen, frozen):
+            assert len({h for _, h, _ in zone}) == 3
+            assert len({etas for _, _, etas in zone}) == 1
+        (u_etas,), (v_etas,) = {c[2] for c in unfrozen}, {c[2] for c in frozen}
+        assert 0.0 < u_etas[0] < u_etas[-1] < sol.xi
+        assert v_etas[0] == pytest.approx(sol.dimless.gamma0 * sol.xi + 0.1)
+
+
 class TestClassicalVerification:
     def test_zero_density_jump(self):
         phys = make_phys(rho_i=1.0)
@@ -166,21 +189,6 @@ class TestAsymptoticSuite:
         assert "g2_block_increasing" not in checks
 
 
-class TestConfigKnobs:
-    def test_tighter_tolerance_can_fail(self, phys_pp):
-        sol = convective_solution(phys_pp)
-        cfg = VerifyConfig(gap_tol=1e-20)
-        with pytest.raises(VerificationFailed):
-            verify_convective(sol, cfg)
-
-    def test_custom_levels_respected(self, phys_pp):
-        sol = convective_solution(phys_pp)
-        cfg = VerifyConfig(eta_steps=(2e-2, 1e-2, 5e-3))
-        report = verify_convective(sol, cfg)
-        assert report.levels == [2e-2, 1e-2, 5e-3]
-        assert report.ok
-
-
 def _passing_report(**changes):
     levels = [1e-2, 5e-3, 2.5e-3]
     fields = dict(
@@ -196,7 +204,7 @@ def _passing_report(**changes):
 
 class TestFailClosed:
     def test_clean_report_passes(self):
-        assert verification._finish(_passing_report(), VerifyConfig(), "wall_bc_gap").ok
+        assert verification._finish(_passing_report(), "wall_bc_gap").ok
 
     @pytest.mark.parametrize("field, component", [
         ("interface_temp_gap", "interface_temp_gap"),
@@ -207,7 +215,7 @@ class TestFailClosed:
     def test_nan_gap_fails(self, field, component):
         report = _passing_report(**{field: math.nan})
         with pytest.raises(VerificationFailed) as exc:
-            verification._finish(report, VerifyConfig(), "wall_bc_gap")
+            verification._finish(report, "wall_bc_gap")
         assert exc.value.component == component
         assert not report.ok
 
@@ -218,13 +226,13 @@ class TestFailClosed:
     def test_nan_residual_fails(self, field, component):
         report = _passing_report(**{field: [1e-4, math.nan, 6.25e-6]})
         with pytest.raises(VerificationFailed) as exc:
-            verification._finish(report, VerifyConfig(), "wall_bc_gap")
+            verification._finish(report, "wall_bc_gap")
         assert exc.value.component == component
 
     def test_nan_fit_quality_fails(self, monkeypatch):
         monkeypatch.setattr(verification, "_fit_order", lambda levels, res: (2.0, math.nan))
         with pytest.raises(VerificationFailed) as exc:
-            verification._finish(_passing_report(), VerifyConfig(), "wall_bc_gap")
+            verification._finish(_passing_report(), "wall_bc_gap")
         assert exc.value.component == "pde_u_fit_r2"
 
 
@@ -233,11 +241,11 @@ class TestFailureWording:
         report = _passing_report(farfield_gap=1e-3)
         with pytest.raises(VerificationFailed,
                            match=r"farfield_gap = 1\.000e-03 exceeds 1\.000e-08"):
-            verification._finish(report, VerifyConfig(), "wall_bc_gap")
+            verification._finish(report, "wall_bc_gap")
 
     def test_lower_bound_is_below(self):
         levels = [1e-2, 5e-3, 2.5e-3]
         report = _passing_report(pde_u_residual=levels)   # first order
         with pytest.raises(VerificationFailed,
                            match=r"pde_u_order = 1\.000e\+00 is below 1\.800e\+00"):
-            verification._finish(report, VerifyConfig(), "wall_bc_gap")
+            verification._finish(report, "wall_bc_gap")
