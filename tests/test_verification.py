@@ -1,15 +1,19 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stefan_thaw.equivalence import temperature_counterpart
 from stefan_thaw.errors import DomainError, VerificationFailed
-from stefan_thaw.model import reduce_params
+from stefan_thaw.model import load_config, reduce_params
 from stefan_thaw.profiles import (
     build_convective_solution,
     build_temperature_solution,
+    eval_u,
+    eval_v,
 )
 from stefan_thaw.solver import solve_omega, solve_xi
 from stefan_thaw import verification
@@ -21,6 +25,8 @@ from stefan_thaw.verification import (
 )
 
 from conftest import make_phys
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def convective_solution(phys, classical=False):
@@ -112,7 +118,7 @@ class TestSamplingWindows:
         stencil = verification._pde_residual
 
         def recorder(field, etas, t, h, drift=0.0):
-            calls.append((drift, h, tuple(etas)))
+            calls.append((drift, h, tuple(etas), t))
             return stencil(field, etas, t, h, drift)
 
         monkeypatch.setattr(verification, "_pde_residual", recorder)
@@ -120,14 +126,106 @@ class TestSamplingWindows:
         assert verify_convective(sol).ok
         unfrozen = [c for c in calls if c[0] != 0.0]
         frozen = [c for c in calls if c[0] == 0.0]
-        # three levels at each of three probe times, per zone
-        assert len(unfrozen) == len(frozen) == 9
+        # three levels, all differenced at the earliest probe time, per zone
+        assert len(unfrozen) == len(frozen) == 3
+        assert {t for _, _, _, t in calls} == {min(verification._PROBE_TIMES)}
         for zone in (unfrozen, frozen):
-            assert len({h for _, h, _ in zone}) == 3
-            assert len({etas for _, _, etas in zone}) == 1
+            assert len({h for _, h, _, _ in zone}) == 3
+            assert len({etas for _, _, etas, _ in zone}) == 1
         (u_etas,), (v_etas,) = {c[2] for c in unfrozen}, {c[2] for c in frozen}
         assert 0.0 < u_etas[0] < u_etas[-1] < sol.xi
         assert v_etas[0] == pytest.approx(sol.dimless.gamma0 * sol.xi + 0.1)
+
+
+def _max_over_probe_times(sol):
+    """pde_u and pde_v residuals formed the long way: every level differenced
+    afresh at every probe time, with the max taken over the times."""
+    dl = sol.dimless
+    u_etas, u_steps = verification._unfrozen_window(sol.xi)
+    start = dl.gamma0 * sol.xi
+    v_etas = np.linspace(start + 0.1, start + 2.5, verification._N_SAMPLES)
+    drift = dl.b_coef * dl.rho_jump * sol.xi
+
+    def worst(profile, alpha, etas, h, drift, t):
+        half = 2.0 * alpha * math.sqrt(t)
+        out = 0.0
+        for e in etas:
+            f_m, f_0, f_p = (profile(sol, z * half, t) for z in (e - h, e, e + h))
+            d1 = (f_p - f_m) / (2.0 * h)
+            d2 = (f_p - 2.0 * f_0 + f_m) / (h * h)
+            out = max(out, abs((d2 + 2.0 * (e - drift) * d1) / (4.0 * t)))
+        return out
+
+    times = verification._PROBE_TIMES
+    pde_u = [max(worst(eval_u, dl.alpha_u, u_etas, h, drift, t) for t in times)
+             for h in u_steps]
+    pde_v = [max(worst(eval_v, dl.alpha_f, v_etas, h, 0.0, t) for t in times)
+             for h in verification._ETA_STEPS]
+    return pde_u, pde_v
+
+
+def _reference_case(name):
+    """A solution and the verifier for it, by case name."""
+    if name == "shallow_f2":
+        return convective_solution(make_phys(**TestShallowFront.F2_MEDIUM)), verify_convective
+    if name == "two_roots":
+        return convective_solution(load_config(CONFIGS / "thaw_two_roots.cfg")), verify_convective
+    if name == "classical":
+        phys = load_config(CONFIGS / "thaw_classical.cfg")
+        return convective_solution(phys, classical=True), verify_convective
+    phys = load_config(CONFIGS / "thaw_convective.cfg")
+    if name == "temperature":
+        dl = reduce_params(phys)
+        return build_temperature_solution(phys, dl, solve_omega(dl).principal), verify_temperature
+    if name == "near_critical":
+        phys = dataclasses.replace(phys, h0=1.03 * phys.critical_h0())
+    return convective_solution(phys), verify_convective
+
+
+class TestSimilarityScaling:
+    @pytest.mark.parametrize("name", [
+        "convective", "temperature", "two_roots", "classical", "shallow_f2",
+        "near_critical",
+    ])
+    def test_residuals_equal_max_over_probe_times(self, name):
+        sol, verify = _reference_case(name)
+        try:
+            report = verify(sol)
+        except VerificationFailed as err:
+            # the shallow front at 1.03x critical is below the round-off floor
+            assert name == "near_critical" and err.component == "pde_u_order"
+            report = err.report
+        else:
+            assert name != "near_critical"
+        pde_u, pde_v = _max_over_probe_times(sol)
+        assert report.pde_u_residual == pde_u
+        assert report.pde_v_residual == pde_v
+
+
+class TestFitOrder:
+    LEVELS = [1e-2, 5e-3, 2.5e-3]
+
+    @pytest.mark.parametrize("residuals", [
+        [1e-4, 2.5e-5, 6.25e-6],
+        [3e-4, 8e-5, 1.9e-5],
+        [4.7e-5, 1.16e-5, 2.95e-6],
+        [1e-3, 9e-4, 1.1e-3],
+        [2e-8, 3e-7, 1e-9],
+    ])
+    def test_matches_polyfit(self, residuals):
+        x, y = np.log(self.LEVELS), np.log(residuals)
+        slope, intercept = np.polyfit(x, y, 1)
+        r2 = 1.0 - np.sum((y - (slope * x + intercept)) ** 2) / np.sum((y - y.mean()) ** 2)
+        order, fit_r2 = verification._fit_order(self.LEVELS, residuals)
+        assert order == pytest.approx(slope, rel=1e-12)
+        assert fit_r2 == pytest.approx(r2, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0])
+    def test_nan_or_zero_level_gives_nan_order(self, bad):
+        residuals = [1e-4, bad, 6.25e-6]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert math.isnan(np.polyfit(np.log(self.LEVELS), np.log(residuals), 1)[0])
+            assert math.isnan(verification._fit_order(self.LEVELS, residuals)[0])
 
 
 class TestClassicalVerification:
@@ -228,6 +326,34 @@ class TestFailClosed:
         with pytest.raises(VerificationFailed) as exc:
             verification._finish(report, "wall_bc_gap")
         assert exc.value.component == component
+
+    @pytest.mark.parametrize("unfrozen, component", [
+        (True, "pde_u_order"), (False, "pde_v_order"),
+    ])
+    def test_nan_stencil_value_fails(self, unfrozen, component, monkeypatch):
+        # the zone's field returns NaN at its 7th evaluation per stencil call
+        stencil = verification._pde_residual
+
+        def seventh_value_nan(field, etas, t, h, drift=0.0):
+            if (drift != 0.0) != unfrozen:
+                return stencil(field, etas, t, h, drift)
+            count = 0
+
+            def patched(e):
+                nonlocal count
+                count += 1
+                return math.nan if count == 7 else field(e)
+
+            return stencil(patched, etas, t, h, drift)
+
+        monkeypatch.setattr(verification, "_pde_residual", seventh_value_nan)
+        sol = convective_solution(load_config(CONFIGS / "thaw_convective.cfg"))
+        with pytest.raises(VerificationFailed) as exc:
+            verify_convective(sol)
+        assert exc.value.component == component
+        residuals = (exc.value.report.pde_u_residual if unfrozen
+                     else exc.value.report.pde_v_residual)
+        assert all(math.isnan(r) for r in residuals)
 
     def test_nan_fit_quality_fails(self, monkeypatch):
         monkeypatch.setattr(verification, "_fit_order", lambda levels, res: (2.0, math.nan))
