@@ -109,8 +109,11 @@ def _calerf(x, kind: int) -> np.ndarray:
 
 
 # Scalars go to the C library's math.erf and math.erfc (within an ulp),
-# arrays to the vectorized approximation; special.py evaluates its kernels
-# on arrays only, so a scalar and a vector kernel call agree exactly.
+# arrays to the vectorized approximation. The kernels behind g_eval, g1_eval
+# and the front equation work on arrays only (_g_and_log's atleast_1d), and
+# erfcx takes one path, so their scalar and vector calls agree exactly.
+# special.g_partial is the exception: a float eta goes through math.erf, an
+# array through the approximation, and the two can differ in the last bits.
 
 def erf(x):
     return math.erf(x) if isinstance(x, float) or np.ndim(x) == 0 else _calerf(x, 0)

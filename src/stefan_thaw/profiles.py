@@ -7,8 +7,8 @@ so c1 = u(0, t) is the wall value: the fixed-wall problem prescribes it
 A convective solution is therefore the fixed-wall solution whose wall value
 is its own c1. The frozen-zone field is affine in
 erf(x / (2 alpha_F sqrt(t))), and the front is s(t) = 2 xi alpha_U sqrt(t).
-Fields are only defined on their own phase region; out-of-region queries
-raise rather than extrapolate.
+Fields are only defined on their own phase region; out-of-region and
+non-finite queries raise rather than extrapolate.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from ._erf import erf, erfc
-from .errors import DomainError, OutOfPhaseRegion
+from .errors import DomainError, NonFiniteInput, OutOfPhaseRegion
 from .model import DimensionlessParams, PhysicalParams
 from .special import g_eval, g_partial, partial_integrand
 
@@ -100,6 +100,8 @@ def build_temperature_solution(phys: PhysicalParams | None, dl: DimensionlessPar
 
 def eval_front(sol: Solution, t: float) -> float:
     """Front position s(t) = 2 xi alpha_U sqrt(t)."""
+    if not math.isfinite(t):
+        raise NonFiniteInput(f"t must be finite, got {t}")
     if t < 0.0:
         raise DomainError(f"t must be >= 0, got {t}")
     return 2.0 * sol.xi * sol.dimless.alpha_u * math.sqrt(t)
@@ -107,6 +109,8 @@ def eval_front(sol: Solution, t: float) -> float:
 
 def _check_unfrozen(sol: Solution, x: float, t: float) -> float:
     """Validate (x, t) for the unfrozen zone and return eta, clipped to xi."""
+    if not math.isfinite(x):
+        raise NonFiniteInput(f"x must be finite, got {x}")
     if t <= 0.0:
         raise DomainError(f"t must be > 0, got {t}")
     if x < 0.0:
@@ -118,6 +122,8 @@ def _check_unfrozen(sol: Solution, x: float, t: float) -> float:
 
 
 def _check_frozen(sol: Solution, x: float, t: float) -> None:
+    if not math.isfinite(x):
+        raise NonFiniteInput(f"x must be finite, got {x}")
     if t <= 0.0:
         raise DomainError(f"t must be > 0, got {t}")
     s = eval_front(sol, t)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stefan_thaw.errors import DomainError, OutOfPhaseRegion
+from stefan_thaw.errors import DomainError, NonFiniteInput, OutOfPhaseRegion
 from stefan_thaw.model import reduce_params
 from stefan_thaw.profiles import (
     build_convective_solution,
@@ -165,6 +165,23 @@ class TestPhaseRegions:
     def test_zero_time_rejected(self, sol_pp):
         with pytest.raises(DomainError):
             eval_u(sol_pp, 0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("coord", ["x", "t"])
+    @pytest.mark.parametrize("field, mult", [
+        (eval_u, 0.5), (eval_u_x, 0.5), (eval_v, 2.0), (eval_v_x, 2.0),
+    ])
+    def test_nonfinite_coordinate_rejected(self, sol_pp, field, mult, coord, bad):
+        # a NaN must not pass the region checks, nor +inf reach erf(inf)
+        x, t = mult * eval_front(sol_pp, 1.0), 1.0
+        x, t = (bad, t) if coord == "x" else (x, bad)
+        with pytest.raises(NonFiniteInput):
+            field(sol_pp, x, t)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_time_rejected_by_front(self, sol_pp, bad):
+        with pytest.raises(NonFiniteInput):
+            eval_front(sol_pp, bad)
 
     def test_builders_reject_nonpositive_front_coefficient(self, phys_pp, dl_pp):
         with pytest.raises(DomainError):

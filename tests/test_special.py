@@ -211,6 +211,32 @@ class TestLargeArgumentBehavior:
         assert np.all(np.diff(vals) > 0.0)
 
 
+class TestFiniteCheck:
+    """One contract for every input type: floats take the math.isfinite path,
+    everything else the numpy reduction, with the same error."""
+
+    KINDS = [float, np.float64, np.float32, np.array, lambda v: np.array([1.0, v])]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rejected(self, kind, bad):
+        with pytest.raises(NonFiniteInput, match=r"^p must be finite$"):
+            sp._check_finite("p", kind(bad))
+
+    @pytest.mark.parametrize("kind", KINDS + [int, np.int64])
+    def test_finite_accepted(self, kind):
+        sp._check_finite("p", kind(-3))
+        sp._check_finite("p", kind(0))
+
+    def test_float_skips_numpy(self, monkeypatch):
+        def refuse(value):
+            raise AssertionError("np.isfinite called on a float")
+
+        monkeypatch.setattr(sp.np, "isfinite", refuse)
+        sp._check_finite("p", 0.5)
+        sp._check_finite("p", np.float64(0.5))
+
+
 class TestProfileIntegral:
     def test_not_the_kernel_integral(self):
         # the exponent couples r to the front coefficient, not to the upper
