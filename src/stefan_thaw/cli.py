@@ -32,6 +32,8 @@ EXIT_INPUT = 1
 EXIT_NO_SOLUTION = 2
 EXIT_VERIFY = 3
 
+_PHI3 = 1.2207440846057596  # the real root of phi^4 = phi + 1
+
 
 def _fmt(x) -> str:
     return repr(float(x))
@@ -191,13 +193,16 @@ def cmd_equiv(args) -> int:
     tsol = equivalence.temperature_counterpart(sol, opts)
     h0_back = equivalence.h0_from_temperature(tsol, phys.b_ext)
 
-    rng = np.random.default_rng(20240801)
+    # 20 quasi-random sample points in (t, x_u, x_f), the fractional parts of
+    # 1/2 + k / phi^j with phi^4 = phi + 1 (Roberts' R3 sequence): fixed, and
+    # without loading numpy.random into the process
     gap = 0.0
-    for _ in range(20):
-        t = float(rng.uniform(0.25, 4.0))
+    for k in range(1, 21):
+        a, b, c = ((0.5 + k / _PHI3 ** j) % 1.0 for j in (1, 2, 3))
+        t = 0.25 + 3.75 * a
         s = profiles.eval_front(sol, t)
-        x_u = float(rng.uniform(0.0, s))
-        x_f = s + float(rng.uniform(0.0, 3.0)) * dl.alpha_f * math.sqrt(t)
+        x_u = b * s
+        x_f = s + 3.0 * c * dl.alpha_f * math.sqrt(t)
         gap = max(
             gap,
             abs(profiles.eval_u(sol, x_u, t) - profiles.eval_u(tsol, x_u, t)),

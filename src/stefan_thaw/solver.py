@@ -46,8 +46,11 @@ class SolveOptions:
     def __post_init__(self):
         if self.scan_points < 8:
             raise DomainError("scan_points must be >= 8")
-        if self.tolerance <= 0.0:
-            raise DomainError("tolerance must be > 0")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise DomainError(f"tolerance must be finite and > 0, got {self.tolerance}")
+        if self.scan_max is not None and not (math.isfinite(self.scan_max)
+                                              and self.scan_max > 0.0):
+            raise DomainError(f"scan_max must be finite and > 0, got {self.scan_max}")
 
 
 @dataclass
@@ -212,7 +215,7 @@ def _scan(lhs, dl: DimensionlessParams, opts: SolveOptions, wall: float, n_rows:
         rhs = rhs_eval(dl.n_par, y)
         return lhs(y, rows), rows * rhs if q1_row else rhs
 
-    scan_max = opts.scan_max or _default_scan_max(dl, wall)
+    scan_max = _default_scan_max(dl, wall) if opts.scan_max is None else opts.scan_max
     return _find_roots(f, scan_max * 1e-12, scan_max, opts.scan_points, opts.tolerance,
                        n_rows)
 

@@ -35,8 +35,8 @@ _EXP_MAX = math.log(np.finfo(float).max)  # ~709.78
 
 
 def _check_finite(name, value):
-    # a float (np.float64 too) by math.isfinite: the numpy reduction costs
-    # about 4 us a call, most of g_partial's time
+    # a float (np.float64 too) by math.isfinite, about 50 times cheaper than
+    # the numpy reduction: a scalar g_partial call makes three checks
     if not (math.isfinite(value) if isinstance(value, float) else np.all(np.isfinite(value))):
         raise NonFiniteInput(f"{name} must be finite")
 
@@ -205,7 +205,8 @@ def g_partial(p: float, xi: float, eta):
     """
     _check_finite("p", p)
     _check_finite("xi", xi)
-    eta = np.asarray(eta, dtype=float)
+    if not isinstance(eta, float):  # a float eta takes math.erf, no numpy call
+        eta = np.asarray(eta, dtype=float)
     _check_finite("eta", eta)
     c = 0.5 * p * xi
     if c * c > _EXP_MAX:
@@ -216,5 +217,8 @@ def g_partial(p: float, xi: float, eta):
 def partial_integrand(p: float, xi: float, eta):
     """Integrand exp(-eta^2 + p eta xi) of the profile integral (for analytic
     spatial derivatives)."""
+    _check_finite("p", p)
+    _check_finite("xi", xi)
     eta = np.asarray(eta, dtype=float)
+    _check_finite("eta", eta)
     return scalar_or_array(np.exp(-eta * eta + p * eta * xi))

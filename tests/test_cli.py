@@ -60,6 +60,23 @@ class TestInputErrors:
         assert "not a number" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--scan-max", "0", "scan_max"),
+        ("--scan-max", "-1", "scan_max"),
+        ("--scan-max", "nan", "scan_max"),
+        ("--scan-max", "inf", "scan_max"),
+        ("--tol", "0", "tolerance"),
+        ("--tol", "-1e-12", "tolerance"),
+        ("--tol", "nan", "tolerance"),
+        ("--tol", "inf", "tolerance"),
+    ])
+    def test_bad_option_exit_1(self, flag, value, name, capsys):
+        assert main(["solve", CONVECTIVE, f"{flag}={value}"]) == 1
+        out = capsys.readouterr()
+        assert f"error: {name} must be finite and > 0, got " in out.err
+        assert out.out == ""
+
+
 class TestClassify:
     def test_reports_regime_and_critical(self, capsys):
         assert main(["classify", CONVECTIVE]) == 0
@@ -151,6 +168,16 @@ class TestEquiv:
         assert abs(h0_back - h0) <= 1e-8 * h0
         assert gap <= 1e-9
         assert 0.0 < b0 < 10.0
+
+    def test_no_numpy_random(self, tmp_path):
+        # numpy.random brings libcrypto: about 13 ms and 6 MB per process
+        code = ("import sys; from stefan_thaw.cli import main; "
+                f"main(['equiv', {CONVECTIVE!r}, '--out', {str(tmp_path / 'e.csv')!r}]); "
+                "print('numpy.random' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
 
 class TestVerify:

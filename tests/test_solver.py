@@ -38,6 +38,20 @@ def oracle_q1(dl):
     return scan_bisect_roots(lambda y: lhs_convective(y, dl), scan_max * 1e-12, scan_max)[0]
 
 
+class TestSolveOptions:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_scan_max_rejected(self, bad):
+        # 0 used to scan the default window silently, as a falsy value
+        with pytest.raises(DomainError, match=r"^scan_max must be finite and > 0"):
+            SolveOptions(scan_max=bad)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-12, math.nan, math.inf])
+    def test_bad_tolerance_rejected(self, bad):
+        # an infinite tolerance would accept any sign change, a pole included
+        with pytest.raises(DomainError, match=r"^tolerance must be finite and > 0"):
+            SolveOptions(tolerance=bad)
+
+
 class TestCriticalH0:
     def test_unit_combination(self):
         # A = B, k_F = 1, d_F = k_F/(rho_F c_F) = 1/pi  =>  threshold = 1

@@ -258,6 +258,60 @@ class TestProfileIntegral:
         assert fd == pytest.approx(sp.partial_integrand(p, xi, eta), rel=1e-9)
 
 
+class TestProfileFloatPath:
+    """A float eta skips numpy in g_partial and keeps the 0-d array's value."""
+
+    P, XI = 0.07, 0.3
+
+    def test_float_equals_zero_d_array(self):
+        rng = np.random.default_rng(13)
+        for e in rng.uniform(0.0, self.XI, 1000).tolist() + [0.0, self.XI]:
+            want = sp.g_partial(self.P, self.XI, np.asarray(e))
+            got = sp.g_partial(self.P, self.XI, e)
+            assert type(got) is float
+            assert got == want, e
+            assert sp.partial_integrand(self.P, self.XI, e) == \
+                sp.partial_integrand(self.P, self.XI, np.asarray(e)), e
+
+    @pytest.mark.parametrize("fn", [sp.g_partial, sp.partial_integrand])
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_eta_rejected(self, fn, kind, bad):
+        with pytest.raises(NonFiniteInput, match=r"^eta must be finite$"):
+            fn(self.P, self.XI, kind(bad))
+
+    @pytest.mark.parametrize("fn", [sp.g_partial, sp.partial_integrand])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_p_and_xi_rejected(self, fn, bad):
+        # partial_integrand used to return NaN with a RuntimeWarning
+        with pytest.raises(NonFiniteInput, match=r"^p must be finite$"):
+            fn(bad, self.XI, 0.1)
+        with pytest.raises(NonFiniteInput, match=r"^xi must be finite$"):
+            fn(self.P, bad, 0.1)
+
+    def test_float_call_makes_no_numpy_call(self, monkeypatch):
+        etas = (0.0, 0.1, np.float64(0.2), self.XI)
+        want = [sp.g_partial(self.P, self.XI, np.asarray(e)) for e in etas]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy called on a float eta")
+
+        monkeypatch.setattr(sp.np, "asarray", refuse)
+        monkeypatch.setattr(sp.np, "isfinite", refuse)
+        assert [sp.g_partial(self.P, self.XI, e) for e in etas] == want
+
+    def test_array_call_works_and_validates(self):
+        etas = np.linspace(0.0, self.XI, 7)
+        got = sp.g_partial(self.P, self.XI, etas)
+        assert got.shape == (7,)
+        for e, g in zip(etas, got):
+            assert g == pytest.approx(sp.g_partial(self.P, self.XI, float(e)), rel=1e-14)
+        assert sp.partial_integrand(self.P, self.XI, etas).shape == (7,)
+        for fn in (sp.g_partial, sp.partial_integrand):
+            with pytest.raises(NonFiniteInput, match=r"^eta must be finite$"):
+                fn(self.P, self.XI, np.array([0.1, math.nan]))
+
+
 class TestErrorFunctions:
     """The package's own erf, erfc and erfcx against mpmath at 40 digits."""
 
