@@ -112,8 +112,10 @@ def _calerf(x, kind: int) -> np.ndarray:
 # arrays to the vectorized approximation. The kernels behind g_eval, g1_eval
 # and the front equation work on arrays only (_g_and_log's atleast_1d), and
 # erfcx takes one path, so their scalar and vector calls agree exactly.
-# special.g_partial is the exception: a float eta goes through math.erf, an
-# array through the approximation, and the two can differ in the last bits.
+# The scalar profile callers (special.g_partial with a float eta, and
+# profiles.eval_v and the frozen-zone coefficients) call math.erf and
+# math.erfc themselves; an array eta in g_partial comes here, so its value
+# can differ from the float one in the last bits.
 
 def erf(x):
     return math.erf(x) if isinstance(x, float) or np.ndim(x) == 0 else _calerf(x, 0)

@@ -19,6 +19,7 @@ import numpy as np
 from . import equivalence, profiles, solver, verification
 from .errors import (
     ConfigError,
+    DomainError,
     InvalidParameter,
     MonotonicityViolation,
     NoRootFound,
@@ -63,6 +64,16 @@ def _opts(args) -> solver.SolveOptions:
     if args.tol is not None:
         kwargs["tolerance"] = args.tol
     return solver.SolveOptions(**kwargs)
+
+
+def _check_count(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
+
+
+def _check_positive(name: str, value: float | None) -> None:
+    if value is not None and not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be finite and > 0, got {value}")
 
 
 def _print_dimless(dl) -> None:
@@ -138,6 +149,7 @@ def _solve_solution(phys, dl, args, opts, factor: float = 1.0):
 
 
 def cmd_profile(args) -> int:
+    _check_count("--points", args.points, 1)
     phys, dl = _load(args)
     opts = _opts(args)
     try:
@@ -163,6 +175,9 @@ def cmd_profile(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_count("--h0-points", args.h0_points, 2)
+    _check_positive("--h0-min", args.h0_min)
+    _check_positive("--h0-max", args.h0_max)
     phys, dl = _load(args)
     opts = _opts(args)
     crit = solver.critical_h0(phys)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._erf import erf, erfc
 from .errors import DomainError, NonFiniteInput, OutOfPhaseRegion
 from .model import DimensionlessParams, PhysicalParams
 from .special import g_eval, g_partial, partial_integrand
@@ -64,8 +63,8 @@ class Solution:
 
 def _frozen_coefficients(dl: DimensionlessParams, front_coef: float):
     am_sq = dl.a_init * dl.m_par * front_coef ** 2
-    denom = erfc(dl.gamma0 * front_coef)
-    c3 = (am_sq + dl.a_init * erf(dl.gamma0 * front_coef)) / denom
+    denom = math.erfc(dl.gamma0 * front_coef)
+    c3 = (am_sq + dl.a_init * math.erf(dl.gamma0 * front_coef)) / denom
     c4 = -(am_sq + dl.a_init) / denom
     return c3, c4
 
@@ -151,7 +150,7 @@ def eval_v(sol: Solution, x: float, t: float) -> float:
     """Frozen-zone temperature, x >= s(t); tends to -A as x -> infinity."""
     _check_frozen(sol, x, t)
     arg = x / (2.0 * sol.dimless.alpha_f * math.sqrt(t))
-    return sol.c3 + sol.c4 * erf(arg)
+    return sol.c3 + sol.c4 * math.erf(arg)
 
 
 def eval_v_x(sol: Solution, x: float, t: float) -> float:

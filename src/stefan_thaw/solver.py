@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    InvalidParameter,
     MonotonicityViolation,
     NoRootFound,
     ToleranceNotReached,
@@ -395,14 +396,17 @@ def monotonicity_sweep(phys: PhysicalParams, h0_values, opts: SolveOptions | Non
     for h in h0_values:
         if h <= crit:
             raise DomainError(f"h0 = {h:.6g} is not above the critical value {crit:.6g}")
+    for h in h0_values:  # as PhysicalParams would, had each h0 built one
+        if not math.isfinite(h):
+            raise InvalidParameter("h0", f"must be > 0 when given, got {h}")
     if not h0_values:
         return []
     opts = opts or SolveOptions()
-    dls = [reduce_params(replace(phys, h0=h), classical=classical) for h in h0_values]
-    dl = dls[0]
-    k0 = np.array([d.k0 for d in dls])
+    dl = reduce_params(replace(phys, h0=h0_values[0]), classical=classical)
+    # K0 = k_U / (2 alpha_U h0), as reduce_params forms it, for every h0 at once
+    k0 = phys.k_u / (2.0 * dl.alpha_u * np.array(h0_values))
     sets = _scan(lambda y, rows: lhs_convective(y, dl, k0[rows]), dl, opts, dl.b_ext,
-                 len(dls))
+                 len(h0_values))
     for h, roots in zip(h0_values, sets):
         if not roots.roots:
             raise NoRootFound(f"no root in scan window at h0 = {h:.6g}")

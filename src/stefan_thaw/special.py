@@ -205,13 +205,17 @@ def g_partial(p: float, xi: float, eta):
     """
     _check_finite("p", p)
     _check_finite("xi", xi)
-    if not isinstance(eta, float):  # a float eta takes math.erf, no numpy call
+    is_float = isinstance(eta, float)
+    if not is_float:
         eta = np.asarray(eta, dtype=float)
     _check_finite("eta", eta)
     c = 0.5 * p * xi
     if c * c > _EXP_MAX:
         raise OverflowUnrepresentable("profile integral scale exp(c^2) overflows")
-    return scalar_or_array(_SQRT_PI_2 * math.exp(c * c) * (erf(eta - c) + erf(c)))
+    scale = _SQRT_PI_2 * math.exp(c * c)
+    if is_float:  # straight to math.erf: no numpy call
+        return scale * (math.erf(eta - c) + math.erf(c))
+    return scalar_or_array(scale * (erf(eta - c) + erf(c)))
 
 
 def partial_integrand(p: float, xi: float, eta):

@@ -15,6 +15,30 @@ SUBCRITICAL = str(CONFIGS / "thaw_subcritical.cfg")
 TWO_ROOTS = str(CONFIGS / "thaw_two_roots.cfg")
 CLASSICAL = str(CONFIGS / "thaw_classical.cfg")
 
+# a bad option value: the subcommand, the flag, the value and the error
+BAD_OPTIONS = [
+    ("solve", "--scan-max", "0", "scan_max must be finite and > 0"),
+    ("solve", "--scan-max", "-1", "scan_max must be finite and > 0"),
+    ("solve", "--scan-max", "nan", "scan_max must be finite and > 0"),
+    ("solve", "--scan-max", "inf", "scan_max must be finite and > 0"),
+    ("solve", "--tol", "0", "tolerance must be finite and > 0"),
+    ("solve", "--tol", "-1e-12", "tolerance must be finite and > 0"),
+    ("solve", "--tol", "nan", "tolerance must be finite and > 0"),
+    ("solve", "--tol", "inf", "tolerance must be finite and > 0"),
+    ("profile", "--points", "0", "--points must be >= 1"),
+    ("profile", "--points", "-1", "--points must be >= 1"),
+    ("sweep", "--h0-points", "-1", "--h0-points must be >= 2"),
+    ("sweep", "--h0-points", "0", "--h0-points must be >= 2"),
+    ("sweep", "--h0-points", "1", "--h0-points must be >= 2"),
+    ("sweep", "--h0-min", "0", "--h0-min must be finite and > 0"),
+    ("sweep", "--h0-min", "-1", "--h0-min must be finite and > 0"),
+    ("sweep", "--h0-min", "inf", "--h0-min must be finite and > 0"),
+    ("sweep", "--h0-min", "nan", "--h0-min must be finite and > 0"),
+    ("sweep", "--h0-max", "0", "--h0-max must be finite and > 0"),
+    ("sweep", "--h0-max", "inf", "--h0-max must be finite and > 0"),
+    ("sweep", "--h0-max", "nan", "--h0-max must be finite and > 0"),
+]
+
 
 class TestSolve:
     def test_convective_success(self, capsys):
@@ -60,20 +84,13 @@ class TestInputErrors:
         assert "not a number" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("flag, value, name", [
-        ("--scan-max", "0", "scan_max"),
-        ("--scan-max", "-1", "scan_max"),
-        ("--scan-max", "nan", "scan_max"),
-        ("--scan-max", "inf", "scan_max"),
-        ("--tol", "0", "tolerance"),
-        ("--tol", "-1e-12", "tolerance"),
-        ("--tol", "nan", "tolerance"),
-        ("--tol", "inf", "tolerance"),
+    @pytest.mark.parametrize("command, flag, value, message", BAD_OPTIONS, ids=[
+        f"{flag}-{value}-{message.split()[0]}" for _, flag, value, message in BAD_OPTIONS
     ])
-    def test_bad_option_exit_1(self, flag, value, name, capsys):
-        assert main(["solve", CONVECTIVE, f"{flag}={value}"]) == 1
+    def test_bad_option_exit_1(self, command, flag, value, message, capsys):
+        assert main([command, CONVECTIVE, f"{flag}={value}"]) == 1
         out = capsys.readouterr()
-        assert f"error: {name} must be finite and > 0, got " in out.err
+        assert f"error: {message}, got " in out.err
         assert out.out == ""
 
 

@@ -8,6 +8,7 @@ import pytest
 from stefan_thaw import solver
 from stefan_thaw.errors import (
     DomainError,
+    InvalidParameter,
     NoRootFound,
     ToleranceNotReached,
     UniquenessViolation,
@@ -29,6 +30,7 @@ from conftest import make_phys
 from oracles import scan_bisect_roots
 
 CONVECTIVE_CFG = Path(__file__).resolve().parent.parent / "configs" / "thaw_convective.cfg"
+CLASSICAL_CFG = CONVECTIVE_CFG.with_name("thaw_classical.cfg")
 
 
 def oracle_q1(dl):
@@ -389,3 +391,28 @@ class TestMonotonicitySweep:
         crit = critical_h0(phys_pp)
         with pytest.raises(DomainError):
             monotonicity_sweep(phys_pp, [crit * 0.5, crit * 2.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_h0(self, phys_pp, bad):
+        crit = critical_h0(phys_pp)
+        with pytest.raises(InvalidParameter, match="h0"):
+            monotonicity_sweep(phys_pp, [crit * 2.0, bad])
+
+    @pytest.mark.parametrize("classical", [False, True])
+    def test_batched_k0_equals_per_point(self, phys_pp, classical, monkeypatch):
+        phys = load_config(CLASSICAL_CFG) if classical else phys_pp
+        crit = critical_h0(phys)
+        h0s = np.geomspace(crit * 1.05, crit * 1e6, 32)
+        seen = []
+        lhs = solver.lhs_convective
+
+        def recorder(y, dl, k0=None):
+            seen.extend(np.ravel(k0).tolist())
+            return lhs(y, dl, k0)
+
+        monkeypatch.setattr(solver, "lhs_convective", recorder)
+        monotonicity_sweep(phys, h0s, classical=classical)
+        per_point = [reduce_params(replace(phys, h0=float(h)), classical=classical).k0
+                     for h in h0s]
+        assert set(seen) == set(per_point)
+        assert len(set(per_point)) == 32

@@ -115,13 +115,13 @@ class TestShallowFront:
 class TestSamplingWindows:
     def test_each_zone_samples_one_window_at_every_level(self, phys_pp, monkeypatch):
         calls = []
-        stencil = verification._pde_residual
+        stencil = verification._pde_residuals
 
-        def recorder(field, etas, t, h, drift=0.0):
-            calls.append((drift, h, tuple(etas), t))
-            return stencil(field, etas, t, h, drift)
+        def recorder(field, etas, t, steps, drift=0.0):
+            calls.extend((drift, h, tuple(etas), t) for h in steps)
+            return stencil(field, etas, t, steps, drift)
 
-        monkeypatch.setattr(verification, "_pde_residual", recorder)
+        monkeypatch.setattr(verification, "_pde_residuals", recorder)
         sol = convective_solution(phys_pp)
         assert verify_convective(sol).ok
         unfrozen = [c for c in calls if c[0] != 0.0]
@@ -135,6 +135,24 @@ class TestSamplingWindows:
         (u_etas,), (v_etas,) = {c[2] for c in unfrozen}, {c[2] for c in frozen}
         assert 0.0 < u_etas[0] < u_etas[-1] < sol.xi
         assert v_etas[0] == pytest.approx(sol.dimless.gamma0 * sol.xi + 0.1)
+
+    def test_each_stencil_point_evaluated_once(self, phys_pp, monkeypatch):
+        counts = {}
+        in_eta = verification._in_eta
+
+        def counting(profile, sol, alpha, t):
+            field = in_eta(profile, sol, alpha, t)
+
+            def counted(e):
+                counts[profile.__name__] = counts.get(profile.__name__, 0) + 1
+                return field(e)
+
+            return counted
+
+        monkeypatch.setattr(verification, "_in_eta", counting)
+        assert verify_convective(convective_solution(phys_pp)).ok
+        # per sample, one centre value and the two sides of each of 3 steps
+        assert counts == {"eval_u": 64 * 7, "eval_v": 64 * 7}
 
 
 def _max_over_probe_times(sol):
@@ -327,33 +345,46 @@ class TestFailClosed:
             verification._finish(report, "wall_bc_gap")
         assert exc.value.component == component
 
+    @staticmethod
+    def _fail_with_one_nan_value(unfrozen, side, monkeypatch):
+        """Verify thaw_convective.cfg with the zone's field NaN at the 7th
+        sample point, or at its side point of the middle step; return the
+        failure and the zone's residuals."""
+        stencil = verification._pde_residuals
+
+        def one_value_nan(field, etas, t, steps, drift=0.0):
+            if (drift != 0.0) != unfrozen:
+                return stencil(field, etas, t, steps, drift)
+            bad = etas.tolist()[6] + (steps[1] if side else 0.0)
+
+            def patched(e):
+                return math.nan if e == bad else field(e)
+
+            return stencil(patched, etas, t, steps, drift)
+
+        monkeypatch.setattr(verification, "_pde_residuals", one_value_nan)
+        sol = convective_solution(load_config(CONFIGS / "thaw_convective.cfg"))
+        with pytest.raises(VerificationFailed) as exc:
+            verify_convective(sol)
+        report = exc.value.report
+        return exc.value, report.pde_u_residual if unfrozen else report.pde_v_residual
+
     @pytest.mark.parametrize("unfrozen, component", [
         (True, "pde_u_order"), (False, "pde_v_order"),
     ])
     def test_nan_stencil_value_fails(self, unfrozen, component, monkeypatch):
-        # the zone's field returns NaN at its 7th evaluation per stencil call
-        stencil = verification._pde_residual
-
-        def seventh_value_nan(field, etas, t, h, drift=0.0):
-            if (drift != 0.0) != unfrozen:
-                return stencil(field, etas, t, h, drift)
-            count = 0
-
-            def patched(e):
-                nonlocal count
-                count += 1
-                return math.nan if count == 7 else field(e)
-
-            return stencil(patched, etas, t, h, drift)
-
-        monkeypatch.setattr(verification, "_pde_residual", seventh_value_nan)
-        sol = convective_solution(load_config(CONFIGS / "thaw_convective.cfg"))
-        with pytest.raises(VerificationFailed) as exc:
-            verify_convective(sol)
-        assert exc.value.component == component
-        residuals = (exc.value.report.pde_u_residual if unfrozen
-                     else exc.value.report.pde_v_residual)
+        # a centre value serves every level, so all three residuals are NaN
+        err, residuals = self._fail_with_one_nan_value(unfrozen, False, monkeypatch)
+        assert err.component == component
         assert all(math.isnan(r) for r in residuals)
+
+    @pytest.mark.parametrize("unfrozen, component", [
+        (True, "pde_u_order"), (False, "pde_v_order"),
+    ])
+    def test_nan_side_value_fails_its_level(self, unfrozen, component, monkeypatch):
+        err, residuals = self._fail_with_one_nan_value(unfrozen, True, monkeypatch)
+        assert err.component == component
+        assert [math.isnan(r) for r in residuals] == [False, True, False]
 
     def test_nan_fit_quality_fails(self, monkeypatch):
         monkeypatch.setattr(verification, "_fit_order", lambda levels, res: (2.0, math.nan))
