@@ -112,10 +112,10 @@ def _calerf(x, kind: int) -> np.ndarray:
 # arrays to the vectorized approximation. The kernels behind g_eval, g1_eval
 # and the front equation work on arrays only (_g_and_log's atleast_1d), and
 # erfcx takes one path, so their scalar and vector calls agree exactly.
-# The scalar profile callers (special.g_partial with a float eta, and
-# profiles.eval_v and the frozen-zone coefficients) call math.erf and
-# math.erfc themselves; an array eta in g_partial comes here, so its value
-# can differ from the float one in the last bits.
+# Scalar profile callers call math.erf and math.erfc on floats themselves:
+# profiles' bound fields (the unfrozen one through special._profile_integral,
+# as is g_partial with a float eta) and the frozen-zone coefficients. An array
+# eta in g_partial comes here, so it can differ from a float in the last bits.
 
 def erf(x):
     return math.erf(x) if isinstance(x, float) or np.ndim(x) == 0 else _calerf(x, 0)

@@ -71,9 +71,10 @@ def _check_count(name: str, value: int, least: int) -> None:
         raise DomainError(f"{name} must be >= {least}, got {value}")
 
 
-def _check_positive(name: str, value: float | None) -> None:
-    if value is not None and not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be finite and > 0, got {value}")
+def _check_positive(name: str, value: float | None, zero_ok: bool = False) -> None:
+    ok = value is None or math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)
+    if not ok:
+        raise DomainError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value}")
 
 
 def _print_dimless(dl) -> None:
@@ -150,6 +151,7 @@ def _solve_solution(phys, dl, args, opts, factor: float = 1.0):
 
 def cmd_profile(args) -> int:
     _check_count("--points", args.points, 1)
+    _check_positive("--x-max", args.x_max, zero_ok=True)
     phys, dl = _load(args)
     opts = _opts(args)
     try:
@@ -158,6 +160,7 @@ def cmd_profile(args) -> int:
         print("no root found; nothing to profile", file=sys.stderr)
         return EXIT_NO_SOLUTION
     t = args.time
+    u, v = profiles.unfrozen_field(sol, t), profiles.frozen_field(sol, t)
     s = profiles.eval_front(sol, t)
     x_max = args.x_max if args.x_max is not None else 2.0 * s
     xs = np.linspace(0.0, x_max, args.points)
@@ -166,9 +169,9 @@ def cmd_profile(args) -> int:
         if math.isclose(x, s, rel_tol=1e-12):
             region, val = "front", sol.interface_temp
         elif x < s:
-            region, val = "U", profiles.eval_u(sol, x, t)
+            region, val = "U", u(x)
         else:
-            region, val = "F", profiles.eval_v(sol, x, t)
+            region, val = "F", v(x)
         lines.append(f"{_fmt(t)},{_fmt(x)},{region},{_fmt(val)}")
     _write_lines(args.out, lines)
     return EXIT_OK
@@ -233,6 +236,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_positive("--perturb-front", args.perturb_front)
     phys, dl = _load(args)
     opts = _opts(args)
     try:

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 from .errors import DomainError, NonFiniteInput, OutOfPhaseRegion
 from .model import DimensionlessParams, PhysicalParams
-from .special import g_eval, g_partial, partial_integrand
+from .special import _profile_integral, g_eval, partial_integrand
 
 __all__ = [
     "Solution", "build_convective_solution", "build_temperature_solution",
-    "eval_u", "eval_v", "eval_front", "eval_u_x", "eval_v_x",
+    "eval_u", "eval_v", "eval_front", "eval_u_x", "eval_v_x", "unfrozen_field", "frozen_field",
 ]
 
 _REL_SLACK = 1e-12  # tolerated relative overshoot at the front
@@ -106,55 +106,69 @@ def eval_front(sol: Solution, t: float) -> float:
     return 2.0 * sol.xi * sol.dimless.alpha_u * math.sqrt(t)
 
 
-def _check_unfrozen(sol: Solution, x: float, t: float) -> float:
-    """Validate (x, t) for the unfrozen zone and return eta, clipped to xi."""
-    if not math.isfinite(x):
-        raise NonFiniteInput(f"x must be finite, got {x}")
+def _scales(sol: Solution, alpha: float, t: float):
+    """Check t for a field; return s(t) and the x -> eta scale 2 alpha sqrt(t)."""
+    if not math.isfinite(t):
+        raise NonFiniteInput(f"t must be finite, got {t}")
     if t <= 0.0:
         raise DomainError(f"t must be > 0, got {t}")
-    if x < 0.0:
-        raise OutOfPhaseRegion(f"x = {x} < 0")
-    s = eval_front(sol, t)
-    if x > s * (1.0 + _REL_SLACK):
-        raise OutOfPhaseRegion(f"x = {x} is beyond the front s({t}) = {s}")
-    return min(x / (2.0 * sol.dimless.alpha_u * math.sqrt(t)), sol.xi)
+    return 2.0 * sol.xi * sol.dimless.alpha_u * math.sqrt(t), 2.0 * alpha * math.sqrt(t)
 
 
-def _check_frozen(sol: Solution, x: float, t: float) -> None:
-    if not math.isfinite(x):
-        raise NonFiniteInput(f"x must be finite, got {x}")
-    if t <= 0.0:
-        raise DomainError(f"t must be > 0, got {t}")
-    s = eval_front(sol, t)
-    if x < s * (1.0 - _REL_SLACK):
-        raise OutOfPhaseRegion(f"x = {x} is before the front s({t}) = {s}")
+def unfrozen_field(sol: Solution, t: float):
+    """u(., t) on 0 <= x <= s(t): t is checked and the t-dependent factors
+    formed once, x on every call; ``field(x, True)`` is the analytic u_x."""
+    s, half = _scales(sol, sol.dimless.alpha_u, t)
+    limit = s * (1.0 + _REL_SLACK)
+    p, xi, c1, c2 = sol.dimless.p_par, sol.xi, sol.c1, sol.c2
+    integral = _profile_integral(p, xi)
+
+    def field(x: float, derivative: bool = False) -> float:
+        if not math.isfinite(x):
+            raise NonFiniteInput(f"x must be finite, got {x}")
+        if not 0.0 <= x <= limit:
+            raise OutOfPhaseRegion(f"x = {x} is outside [0, s({t}) = {s}]")
+        eta = min(x / half, xi)
+        if derivative:
+            return c2 * partial_integrand(p, xi, eta) / half
+        return c1 + c2 * integral(eta)
+
+    return field
+
+
+def frozen_field(sol: Solution, t: float):
+    """v(., t) on x >= s(t), bound as ``unfrozen_field`` is; ``field(x, True)`` is v_x."""
+    s, half = _scales(sol, sol.dimless.alpha_f, t)
+    limit = s * (1.0 - _REL_SLACK)
+    c3, c4 = sol.c3, sol.c4
+
+    def field(x: float, derivative: bool = False) -> float:
+        if not math.isfinite(x):
+            raise NonFiniteInput(f"x must be finite, got {x}")
+        if x < limit:
+            raise OutOfPhaseRegion(f"x = {x} is before the front s({t}) = {s}")
+        arg = x / half
+        if derivative:
+            return c4 * (2.0 / math.sqrt(math.pi)) * math.exp(-arg * arg) / half
+        return c3 + c4 * math.erf(arg)
+
+    return field
 
 
 def eval_u(sol: Solution, x: float, t: float) -> float:
     """Unfrozen-zone temperature, 0 <= x <= s(t); u(0, t) = c1 exactly."""
-    eta = _check_unfrozen(sol, x, t)
-    return sol.c1 + sol.c2 * g_partial(sol.dimless.p_par, sol.xi, eta)
+    return unfrozen_field(sol, t)(x)
 
 
 def eval_u_x(sol: Solution, x: float, t: float) -> float:
-    """Analytic spatial derivative of u (avoids differencing noise in the
-    interface energy balance)."""
-    eta = _check_unfrozen(sol, x, t)
-    dl = sol.dimless
-    return sol.c2 * partial_integrand(dl.p_par, sol.xi, eta) / (
-        2.0 * dl.alpha_u * math.sqrt(t)
-    )
+    """Analytic spatial derivative of u (no differencing noise at the front)."""
+    return unfrozen_field(sol, t)(x, True)
 
 
 def eval_v(sol: Solution, x: float, t: float) -> float:
     """Frozen-zone temperature, x >= s(t); tends to -A as x -> infinity."""
-    _check_frozen(sol, x, t)
-    arg = x / (2.0 * sol.dimless.alpha_f * math.sqrt(t))
-    return sol.c3 + sol.c4 * math.erf(arg)
+    return frozen_field(sol, t)(x)
 
 
 def eval_v_x(sol: Solution, x: float, t: float) -> float:
-    _check_frozen(sol, x, t)
-    half = 2.0 * sol.dimless.alpha_f * math.sqrt(t)
-    arg = x / half
-    return sol.c4 * (2.0 / math.sqrt(math.pi)) * math.exp(-arg * arg) / half
+    return frozen_field(sol, t)(x, True)

@@ -203,19 +203,23 @@ def g_partial(p: float, xi: float, eta):
     limit, so this is not g(p, eta). Closed form via the completed square
     with c = p xi / 2.
     """
+    is_float = isinstance(eta, float)  # a float goes straight to math.erf
+    integral = _profile_integral(p, xi, math.erf if is_float else erf)
+    eta = eta if is_float else np.asarray(eta, dtype=float)
+    _check_finite("eta", eta)
+    return scalar_or_array(integral(eta))
+
+
+def _profile_integral(p: float, xi: float, erf_fn=math.erf):
+    """The profile integral as a function of eta, bound to (p, xi); the caller checks eta."""
     _check_finite("p", p)
     _check_finite("xi", xi)
-    is_float = isinstance(eta, float)
-    if not is_float:
-        eta = np.asarray(eta, dtype=float)
-    _check_finite("eta", eta)
     c = 0.5 * p * xi
     if c * c > _EXP_MAX:
         raise OverflowUnrepresentable("profile integral scale exp(c^2) overflows")
     scale = _SQRT_PI_2 * math.exp(c * c)
-    if is_float:  # straight to math.erf: no numpy call
-        return scale * (math.erf(eta - c) + math.erf(c))
-    return scalar_or_array(scale * (erf(eta - c) + erf(c)))
+    erf_c = math.erf(c)
+    return lambda eta: scale * (erf_fn(eta - c) + erf_c)
 
 
 def partial_integrand(p: float, xi: float, eta):

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DomainError, VerificationFailed
 from .model import DimensionlessParams
 from .profiles import Solution, eval_front, eval_u, eval_u_x, eval_v, eval_v_x
+from .profiles import frozen_field, unfrozen_field
 from .special import g1_eval, g2_eval
 
 __all__ = [
@@ -80,27 +81,28 @@ def _unfrozen_window(xi: float):
     return np.linspace(lo, xi - lo, _N_SAMPLES), steps
 
 
-def _in_eta(profile, sol: Solution, alpha: float, t: float):
-    """``profile`` at time t as a function of x / (2 alpha sqrt(t))."""
-    half = 2.0 * alpha * math.sqrt(t)
-    return lambda e: profile(sol, e * half, t)
+def _frozen_window(start: float):
+    """Frozen-zone samples from 0.1 (over twice any step) past the front at ``start``; steps."""
+    return np.linspace(start + 0.1, start + 2.5, _N_SAMPLES), _ETA_STEPS
 
 
-def _pde_residuals(field, etas, t: float, steps, drift: float = 0.0) -> list[float]:
+def _pde_residuals(field, alpha: float, etas, t: float, steps, drift: float = 0.0) -> list[float]:
     """Max-norm residual of f'' + 2 (eta - drift) f' = 0 at time t, one per
     step h, with f differenced in eta: the unfrozen zone's advection-diffusion
     equation (drift b rho xi) or the frozen zone's diffusion equation (0).
 
+    ``field``, bound to t, takes x = eta 2 alpha sqrt(t) through its x checks.
     The samples are Python floats and each distinct stencil point is
     evaluated once: the centre value serves every step, so a zone costs
     1 + 2 len(steps) evaluations per sample.
     """
+    half = 2.0 * alpha * math.sqrt(t)
     worst = [0.0] * len(steps)
     for e in etas.tolist():
-        f_0 = field(e)
+        f_0 = field(e * half)
         adv = 2.0 * (e - drift)
         for i, h in enumerate(steps):
-            f_m, f_p = field(e - h), field(e + h)
+            f_m, f_p = field((e - h) * half), field((e + h) * half)
             d1 = (f_p - f_m) / (2.0 * h)
             d2 = (f_p - 2.0 * f_0 + f_m) / (h * h)
             res = (d2 + adv * d1) / (4.0 * t)
@@ -145,19 +147,15 @@ def _verify(sol: Solution, boundary_name: str, boundary_gap) -> ResidualReport:
     if phys is None:
         raise DomainError("verification needs dimensional parameters (k_U, k_F)")
     u_etas, u_steps = _unfrozen_window(sol.xi)
-    # the frozen window starts 0.1 past the front, above twice every step
-    start = dl.gamma0 * sol.xi
-    v_etas = np.linspace(start + 0.1, start + 2.5, _N_SAMPLES)
+    v_etas, v_steps = _frozen_window(dl.gamma0 * sol.xi)
     drift = dl.b_coef * dl.rho_jump * sol.xi
 
     # Both fields depend on (x, t) only through eta, so the stencil values
     # are the same at every probe time and the residual at time t is the one
     # at t0 times t0 / t: its max over the probe times is the value at t0.
     t0 = min(_PROBE_TIMES)
-    phi = _in_eta(eval_u, sol, dl.alpha_u, t0)
-    psi = _in_eta(eval_v, sol, dl.alpha_f, t0)
-    pde_u = _pde_residuals(phi, u_etas, t0, u_steps, drift)
-    pde_v = _pde_residuals(psi, v_etas, t0, _ETA_STEPS)
+    pde_u = _pde_residuals(unfrozen_field(sol, t0), dl.alpha_u, u_etas, t0, u_steps, drift)
+    pde_v = _pde_residuals(frozen_field(sol, t0), dl.alpha_f, v_etas, t0, v_steps)
 
     temp_gap = balance_gap = bc_gap = far_gap = 0.0
     for t in _PROBE_TIMES:

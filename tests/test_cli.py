@@ -27,6 +27,15 @@ BAD_OPTIONS = [
     ("solve", "--tol", "inf", "tolerance must be finite and > 0"),
     ("profile", "--points", "0", "--points must be >= 1"),
     ("profile", "--points", "-1", "--points must be >= 1"),
+    ("profile", "--time", "0", "t must be > 0"),
+    ("profile", "--time", "-1", "t must be > 0"),
+    ("profile", "--x-max", "-1", "--x-max must be finite and >= 0"),
+    ("profile", "--x-max", "inf", "--x-max must be finite and >= 0"),
+    ("profile", "--x-max", "nan", "--x-max must be finite and >= 0"),
+    ("verify", "--perturb-front", "0", "--perturb-front must be finite and > 0"),
+    ("verify", "--perturb-front", "-1", "--perturb-front must be finite and > 0"),
+    ("verify", "--perturb-front", "inf", "--perturb-front must be finite and > 0"),
+    ("verify", "--perturb-front", "nan", "--perturb-front must be finite and > 0"),
     ("sweep", "--h0-points", "-1", "--h0-points must be >= 2"),
     ("sweep", "--h0-points", "0", "--h0-points must be >= 2"),
     ("sweep", "--h0-points", "1", "--h0-points must be >= 2"),
@@ -123,6 +132,12 @@ class TestProfile:
         assert {"U", "F"} <= {row[2] for row in rows}
         # the wall value of the fixed-wall problem is b0_wall = 3.0 exactly
         assert rows[0][1:] == ["0.0", "U", "3.0"]
+
+    def test_zero_x_max_profiles_the_wall(self, capsys):
+        # --x-max 0 is valid: every point is the wall, in the unfrozen zone
+        assert main(["profile", CONVECTIVE, "--x-max", "0", "--points", "2"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[1:3] for row in rows] == [["0.0", "U"]] * 2
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -14,6 +14,8 @@ from stefan_thaw.profiles import (
     eval_u_x,
     eval_v,
     eval_v_x,
+    frozen_field,
+    unfrozen_field,
 )
 from stefan_thaw.solver import solve_omega, solve_xi
 from stefan_thaw.special import g_eval
@@ -142,34 +144,66 @@ class TestSelfSimilarity:
                 field(sol_temp, x, t), rel=1e-13, abs=1e-13)
 
 
+def bound_u(sol, x, t):
+    return unfrozen_field(sol, t)(x)
+
+
+def bound_u_x(sol, x, t):
+    return unfrozen_field(sol, t)(x, True)
+
+
+def bound_v(sol, x, t):
+    return frozen_field(sol, t)(x)
+
+
+def bound_v_x(sol, x, t):
+    return frozen_field(sol, t)(x, True)
+
+
+# each zone's public functions and its field bound to (solution, t)
+UNFROZEN = [(eval_u, eval_u_x), (bound_u, bound_u_x)]
+FROZEN = [(eval_v, eval_v_x), (bound_v, bound_v_x)]
+
+
 class TestPhaseRegions:
     def test_unfrozen_query_beyond_front(self, sol_pp):
         s = eval_front(sol_pp, 1.0)
-        with pytest.raises(OutOfPhaseRegion):
-            eval_u(sol_pp, 1.01 * s, 1.0)
-        with pytest.raises(OutOfPhaseRegion):
-            eval_u_x(sol_pp, 1.01 * s, 1.0)
-        with pytest.raises(OutOfPhaseRegion):
-            eval_u(sol_pp, -0.1, 1.0)
+        for u, u_x in UNFROZEN:
+            with pytest.raises(OutOfPhaseRegion):
+                u(sol_pp, 1.01 * s, 1.0)
+            with pytest.raises(OutOfPhaseRegion):
+                u_x(sol_pp, 1.01 * s, 1.0)
+            with pytest.raises(OutOfPhaseRegion):
+                u(sol_pp, -0.1, 1.0)
 
     def test_frozen_query_before_front(self, sol_pp):
         s = eval_front(sol_pp, 1.0)
-        with pytest.raises(OutOfPhaseRegion):
-            eval_v(sol_pp, 0.99 * s, 1.0)
+        for v, v_x in FROZEN:
+            with pytest.raises(OutOfPhaseRegion):
+                v(sol_pp, 0.99 * s, 1.0)
+            with pytest.raises(OutOfPhaseRegion):
+                v_x(sol_pp, 0.99 * s, 1.0)
 
     def test_front_itself_belongs_to_both(self, sol_pp):
         s = eval_front(sol_pp, 1.0)
-        eval_u(sol_pp, s, 1.0)
-        eval_v(sol_pp, s, 1.0)
+        for (u, _), (v, _) in zip(UNFROZEN, FROZEN):
+            u(sol_pp, s, 1.0)
+            v(sol_pp, s, 1.0)
 
     def test_zero_time_rejected(self, sol_pp):
-        with pytest.raises(DomainError):
-            eval_u(sol_pp, 0.0, 0.0)
+        for t in (0.0, -1.0):
+            for field in (eval_u, eval_v):
+                with pytest.raises(DomainError):
+                    field(sol_pp, 0.0, t)
+            for build in (unfrozen_field, frozen_field):  # checked when bound
+                with pytest.raises(DomainError):
+                    build(sol_pp, t)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("coord", ["x", "t"])
     @pytest.mark.parametrize("field, mult", [
         (eval_u, 0.5), (eval_u_x, 0.5), (eval_v, 2.0), (eval_v_x, 2.0),
+        (bound_u, 0.5), (bound_u_x, 0.5), (bound_v, 2.0), (bound_v_x, 2.0),
     ])
     def test_nonfinite_coordinate_rejected(self, sol_pp, field, mult, coord, bad):
         # a NaN must not pass the region checks, nor +inf reach erf(inf)

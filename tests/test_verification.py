@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stefan_thaw.equivalence import temperature_counterpart
-from stefan_thaw.errors import DomainError, VerificationFailed
+from stefan_thaw.errors import DomainError, OutOfPhaseRegion, VerificationFailed
 from stefan_thaw.model import load_config, reduce_params
 from stefan_thaw.profiles import (
     build_convective_solution,
@@ -117,9 +117,9 @@ class TestSamplingWindows:
         calls = []
         stencil = verification._pde_residuals
 
-        def recorder(field, etas, t, steps, drift=0.0):
+        def recorder(field, alpha, etas, t, steps, drift=0.0):
             calls.extend((drift, h, tuple(etas), t) for h in steps)
-            return stencil(field, etas, t, steps, drift)
+            return stencil(field, alpha, etas, t, steps, drift)
 
         monkeypatch.setattr(verification, "_pde_residuals", recorder)
         sol = convective_solution(phys_pp)
@@ -138,21 +138,44 @@ class TestSamplingWindows:
 
     def test_each_stencil_point_evaluated_once(self, phys_pp, monkeypatch):
         counts = {}
-        in_eta = verification._in_eta
 
-        def counting(profile, sol, alpha, t):
-            field = in_eta(profile, sol, alpha, t)
+        def counting(build):
+            def counting_build(sol, t):
+                field = build(sol, t)
 
-            def counted(e):
-                counts[profile.__name__] = counts.get(profile.__name__, 0) + 1
-                return field(e)
+                def counted(x, derivative=False):
+                    counts[build.__name__] = counts.get(build.__name__, 0) + 1
+                    return field(x, derivative)
 
-            return counted
+                return counted
 
-        monkeypatch.setattr(verification, "_in_eta", counting)
+            return counting_build
+
+        for name in ("unfrozen_field", "frozen_field"):
+            monkeypatch.setattr(verification, name, counting(getattr(verification, name)))
         assert verify_convective(convective_solution(phys_pp)).ok
         # per sample, one centre value and the two sides of each of 3 steps
-        assert counts == {"eval_u": 64 * 7, "eval_v": 64 * 7}
+        assert counts == {"unfrozen_field": 64 * 7, "frozen_field": 64 * 7}
+
+    @pytest.mark.parametrize("unfrozen", [True, False])
+    def test_stencil_points_pass_the_region_checks(self, phys_pp, unfrozen, monkeypatch):
+        # move one side point of the coarsest step across the front: the
+        # zone's field must reject it, not extrapolate the closed form
+        window = verification._unfrozen_window if unfrozen else verification._frozen_window
+
+        def crossing(edge):
+            etas, steps = window(edge)
+            etas = etas.copy()
+            if unfrozen:
+                etas[-1] = edge - 0.5 * steps[0]
+            else:
+                etas[0] = edge + 0.5 * steps[0]
+            return etas, steps
+
+        monkeypatch.setattr(verification, window.__name__, crossing)
+        match = r"outside \[0, s" if unfrozen else "before the front"
+        with pytest.raises(OutOfPhaseRegion, match=match):
+            verify_convective(convective_solution(phys_pp))
 
 
 def _max_over_probe_times(sol):
@@ -352,15 +375,15 @@ class TestFailClosed:
         failure and the zone's residuals."""
         stencil = verification._pde_residuals
 
-        def one_value_nan(field, etas, t, steps, drift=0.0):
+        def one_value_nan(field, alpha, etas, t, steps, drift=0.0):
             if (drift != 0.0) != unfrozen:
-                return stencil(field, etas, t, steps, drift)
-            bad = etas.tolist()[6] + (steps[1] if side else 0.0)
+                return stencil(field, alpha, etas, t, steps, drift)
+            bad = (etas.tolist()[6] + (steps[1] if side else 0.0)) * (2.0 * alpha * math.sqrt(t))
 
-            def patched(e):
-                return math.nan if e == bad else field(e)
+            def patched(x):
+                return math.nan if x == bad else field(x)
 
-            return stencil(patched, etas, t, steps, drift)
+            return stencil(patched, alpha, etas, t, steps, drift)
 
         monkeypatch.setattr(verification, "_pde_residuals", one_value_nan)
         sol = convective_solution(load_config(CONFIGS / "thaw_convective.cfg"))
