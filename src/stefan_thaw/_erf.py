@@ -1,4 +1,4 @@
-"""erf, erfc and erfcx = exp(x^2) erfc(x) without a compiled special
+"""erf and erfcx = exp(x^2) erfc(x) without a compiled special
 function library: importing scipy.special costs about 0.45 s and 25 MB of
 resident memory, more than the rest of the package together.
 
@@ -62,35 +62,31 @@ def _exp_sq(x, sign: float):
     return np.exp(sign * head * head) * np.exp(sign * (x - head) * (x + head))
 
 
-def _from_erfcx(x, r, kind: int):
-    """erf, erfc or erfcx of x from r = erfcx(|x|), for |x| > 0.46875."""
-    neg = x < 0.0
-    if kind == 2:
-        r = np.where(neg, 2.0 * _exp_sq(x, 1.0) - r, r)
+def _from_erfcx(x, r, scaled: bool):
+    """erfcx (``scaled``) or erf of x from r = erfcx(|x|), for |x| > 0.46875."""
+    if scaled:
+        r = np.where(x < 0.0, 2.0 * _exp_sq(x, 1.0) - r, r)
         r[x < _XNEG] = np.inf
         return r
     r = np.where(np.isinf(x), 0.0, _exp_sq(x, -1.0) * r)       # erfc(|x|)
-    if kind == 1:
-        return np.where(neg, 2.0 - r, r)
     return np.copysign((0.5 - r) + 0.5, x)
 
 
-def _calerf(x, kind: int) -> np.ndarray:
-    """kind 0: erf, 1: erfc, 2: erfcx, elementwise; NaN stays NaN."""
+def _calerf(x, scaled: bool) -> np.ndarray:
+    """erfcx (``scaled``) or erf, elementwise; NaN stays NaN."""
     shape = np.shape(x)
     x = np.asarray(x, dtype=float).ravel()
     if x.size > _BLOCK:
         # blocks that stay in cache: a pass over a long array is memory bound
         blocks = np.array_split(x, -(-x.size // _BLOCK))
-        return np.concatenate([_calerf(b, kind) for b in blocks]).reshape(shape)
+        return np.concatenate([_calerf(b, scaled) for b in blocks]).reshape(shape)
     with np.errstate(all="ignore"):
         # the |x| <= 0.46875 form on every element, then the rest replaced:
         # on a geometric grid most elements are small
         z = x * x
         out = x * _rational(_A, _B, z)           # erf
-        if kind:
+        if scaled:
             out = 1.0 - out
-        if kind == 2:
             out *= np.exp(z)
         large = np.flatnonzero(np.abs(x) > _THRESH)
         if large.size:
@@ -104,30 +100,26 @@ def _calerf(x, kind: int) -> np.ndarray:
                 yb = yl[~mid]
                 zb = 1.0 / (yb * yb)
                 r[~mid] = (_SQRPI - zb * _rational(_P, _Q, zb)) / yb
-            out[large] = _from_erfcx(xl, r, kind)
+            out[large] = _from_erfcx(xl, r, scaled)
     return out.reshape(shape)
 
 
-# Scalars go to the C library's math.erf and math.erfc (within an ulp),
-# arrays to the vectorized approximation. The kernels behind g_eval, g1_eval
-# and the front equation work on arrays only (_g_and_log's atleast_1d), and
-# erfcx takes one path, so their scalar and vector calls agree exactly.
+# Scalars go to the C library's math.erf (within an ulp), arrays to the
+# vectorized approximation. The kernels behind g_eval, g1_eval and the front
+# equation work on arrays only (_g_and_log's atleast_1d), and erfcx takes one
+# path, so their scalar and vector calls agree exactly.
 # Scalar profile callers call math.erf and math.erfc on floats themselves:
 # profiles' bound fields (the unfrozen one through special._profile_integral,
 # as is g_partial with a float eta) and the frozen-zone coefficients. An array
 # eta in g_partial comes here, so it can differ from a float in the last bits.
 
 def erf(x):
-    return math.erf(x) if isinstance(x, float) or np.ndim(x) == 0 else _calerf(x, 0)
-
-
-def erfc(x):
-    return math.erfc(x) if isinstance(x, float) or np.ndim(x) == 0 else _calerf(x, 1)
+    return math.erf(x) if isinstance(x, float) or np.ndim(x) == 0 else _calerf(x, False)
 
 
 def erfcx(x):
     """exp(x^2) erfc(x), finite for every x above -26.6."""
-    return scalar_or_array(_calerf(x, 2))
+    return scalar_or_array(_calerf(x, True))
 
 
 def scalar_or_array(out):

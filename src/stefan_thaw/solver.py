@@ -155,7 +155,8 @@ def _polish(f, x1, x2, f1, f2, rows):
 
 def _residual(f, y, rows):
     lhs, rhs = f(y, rows)
-    return np.asarray(lhs - rhs, dtype=float)
+    in_place = isinstance(lhs, np.ndarray) and lhs.shape == np.broadcast(lhs, rhs).shape
+    return np.subtract(lhs, rhs, out=lhs if in_place else None, dtype=float)
 
 
 def _find_roots(f, scan_min: float, scan_max: float, n_points: int, tol: float,
@@ -163,19 +164,24 @@ def _find_roots(f, scan_min: float, scan_max: float, n_points: int, tol: float,
     """Every root of ``f`` in the scan window, for each of ``n_rows`` rows.
 
     ``f(y, rows)`` returns the pair (LHS, RHS) of the equation, broadcasting
-    ``y`` against the row indices ``rows``. The scan evaluates f once on a
-    (rows x grid) array; each root is accepted when
-    |LHS - RHS| <= tol * max(1, |LHS| + |RHS|), else ToleranceNotReached.
+    ``y`` against the row indices ``rows``, in a new LHS array the scan may
+    overwrite. f is evaluated once on a (rows x grid) array; a root is accepted
+    when |LHS - RHS| <= tol * max(1, |LHS| + |RHS|), else ToleranceNotReached.
     """
     grid = np.geomspace(scan_min, scan_max, n_points)
     with np.errstate(all="ignore"):
         vals = np.broadcast_to(
             _residual(f, grid[None, :], np.arange(n_rows)[:, None]), (n_rows, n_points))
+        pos, neg = vals > 0.0, vals < 0.0    # sign changes from boolean masks
+        change = pos[:, :-1] & neg[:, 1:]
+        change |= neg[:, :-1] & pos[:, 1:]
+        del pos, neg                           # freed before the finiteness masks
         ok = np.isfinite(vals)
         both = ok[:, :-1] & ok[:, 1:]
+        change &= both
         lo, hi = vals[:, :-1], vals[:, 1:]
-        change = both & (np.sign(lo) * np.sign(hi) < 0.0)
-        zero = both & (lo == 0.0)
+        zero = lo == 0.0
+        zero &= both
         rows, cells = np.nonzero(change | zero)
         polish = change[rows, cells]
         roots = grid[cells]

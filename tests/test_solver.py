@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -285,6 +286,47 @@ class TestRootEngine:
         sets = _find_roots(shifted, 1e-3, 10.0, 256, 1e-12, n_rows=3)
         assert [s.roots for s in sets] == [[pytest.approx(c, rel=1e-15)] for c in (1, 2, 3)]
 
+    def test_scan_masks_match_sign_products(self):
+        # f is linear in each cell between set values at the grid points:
+        # exact zeros (-0.0 too), +-inf and NaN, sign changes beside them
+        grid = np.geomspace(1e-3, 10.0, 24)
+        inf, nan = math.inf, math.nan
+        table = np.array([
+            [1, 0, -1, -2, 0, 1, 2, -0.0, 3, -1, 1, 0, nan,
+             1, 0, 2, -1, 1, -1, -1, 0, 0, 1, -2],
+            [2, inf, -3, -1, -inf, 1, nan, -1, 1, nan, 1, -1, 2,
+             -inf, inf, -1, 0, nan, 0, -1, 1, 2, -inf, 1],
+            [nan, -1, 1, nan, nan, 1, 1, 2, -1, -2, inf, 0, -1,
+             1, -1, nan, -1, 1, 0, -1, -2, 3, -3, nan],
+        ])
+
+        def f(y, rows):
+            j = np.clip(np.searchsorted(grid, y, side="right") - 1, 0, grid.size - 2)
+            t = (y - grid[j]) / (grid[j + 1] - grid[j])
+            a, b = table[rows, j], table[rows, j + 1]
+            return np.where(t == 0.0, a, np.where(t == 1.0, b, a + t * (b - a))), 0.0
+
+        sets = _find_roots(f, grid[0], grid[-1], grid.size, 1e-12, n_rows=3)
+        ok = np.isfinite(table)
+        both = ok[:, :-1] & ok[:, 1:]
+        lo, hi = table[:, :-1], table[:, 1:]
+        with np.errstate(invalid="ignore"):
+            change = both & (np.sign(lo) * np.sign(hi) < 0.0)
+        zero = both & (lo == 0.0)
+        assert zero[0, 1] and not change[0, 1]     # zero at a cell's left end: once
+        for r, roots in enumerate(sets):
+            cells = np.flatnonzero(change[r] | zero[r])
+            assert roots.brackets == [(grid[i], grid[i + 1] if change[r, i] else grid[i])
+                                      for i in cells]
+            for x, i in zip(roots.roots, cells):
+                if zero[r, i]:
+                    assert x == grid[i]
+                else:
+                    dy = grid[i + 1] - grid[i]
+                    want = grid[i] - lo[r, i] * dy / (hi[r, i] - lo[r, i])
+                    assert x == pytest.approx(want, rel=1e-14, abs=0.0)
+            assert roots.nonfinite_cells == int((~both[r]).sum())
+
 
 class TestSolveOmega:
     def test_unique_in_guaranteed_interval(self):
@@ -386,6 +428,21 @@ class TestMonotonicitySweep:
         for h, xi in pairs:
             single = solve_xi(reduce_params(replace(phys_pp, h0=h)))[0].principal
             assert abs(xi - single) <= 4.0 * np.spacing(single)
+
+    def test_batched_memory_peak(self):
+        # one (rows x grid) float block and its boolean masks: the G1 block is
+        # finished in place, not copied through each factor of the LHS
+        phys = load_config(CONVECTIVE_CFG)
+        crit = critical_h0(phys)
+        h0s = np.geomspace(crit * 1.05, crit * 1e6, 32)
+        monotonicity_sweep(phys, h0s)
+        tracemalloc.start()
+        try:
+            monotonicity_sweep(phys, h0s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 32 * 2048 * 8
 
     def test_rejects_subcritical_points(self, phys_pp):
         crit = critical_h0(phys_pp)

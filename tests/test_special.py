@@ -106,6 +106,86 @@ class TestG1:
         with pytest.raises(DomainError):
             sp.g1_eval(0.5, 0.0, 0.0)
 
+    # p from -6 to 6, K0 from the fixed wall to far above g, y over 14 decades
+    GRID_P = np.linspace(-6.0, 6.0, 11)
+    GRID_K0 = np.array([0.0, 1e-14, 1e-6, 1.0, 1e6])
+    GRID_Y = np.geomspace(1e-12, 60.0, 429)
+
+    @staticmethod
+    def _g_exact(p, y):
+        """g(p, y) at mpmath's precision, the erf sum written as an erfc
+        difference where it cancels."""
+        a, c = (1 - p / 2) * y, p / 2 * y
+        if a >= 0 and c >= 0:
+            s = mpmath.erf(a) + mpmath.erf(c)
+        elif c < 0:
+            s = mpmath.erfc(-c) - mpmath.erfc(a)
+        else:
+            s = mpmath.erfc(-a) - mpmath.erfc(c)
+        return mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(c * c) * s
+
+    def test_accuracy_against_mpmath(self):
+        # the shared-factor form is no less accurate than the log-space form
+        # exp((p-1) y^2 - logaddexp(log K0, log g)) it replaced; log g sets both
+        worst_new = worst_log = 0.0
+        with mpmath.workdps(60):
+            for p in map(float, self.GRID_P):
+                new = sp.g1_eval(p, self.GRID_Y, self.GRID_K0[:, None])
+                lg = sp._g_and_log(p, self.GRID_Y)[1]
+                with np.errstate(divide="ignore", under="ignore"):
+                    log_form = np.exp((p - 1.0) * self.GRID_Y * self.GRID_Y
+                                      - np.logaddexp(np.log(self.GRID_K0[:, None]), lg))
+                for j, y in enumerate(map(mpmath.mpf, self.GRID_Y.tolist())):
+                    g = self._g_exact(mpmath.mpf(p), y)
+                    num = mpmath.exp((p - 1) * y * y)
+                    for i, k0 in enumerate(self.GRID_K0.tolist()):
+                        want = num / (k0 + g)
+                        if want < 1e-300:
+                            continue      # below the normal double range
+                        worst_new = max(worst_new, float(abs(new[i, j] / want - 1)))
+                        worst_log = max(worst_log, float(abs(log_form[i, j] / want - 1)))
+        assert worst_new <= 2e-12
+        assert worst_new <= worst_log
+
+    @pytest.mark.parametrize("y", [1e-310, 5e-324])
+    def test_subnormal_y(self, y):
+        # 1/g overflows here, so these points take the log-space form
+        assert sp.g1_eval(0.5, y, 1.0) == 1.0
+        assert sp.g1_eval(-3.0, y, 1.0) == 1.0
+
+    def test_domain_error_where_g_vanishes(self):
+        assert sp.g_eval(-3.0, 5e-324) == 0.0
+        with pytest.raises(DomainError):
+            sp.g1_eval(-3.0, 5e-324, 0.0)
+        with pytest.raises(DomainError):
+            sp.g1_eval(-3.0, np.array([1.0, 5e-324]), np.array([[1.0], [0.0]]))
+
+    def test_log_space_where_the_product_would_overflow(self):
+        # K0 / g beyond the double range: 1 + K0 w would overflow, so these
+        # points are the log-space form exactly
+        for p, y, k0 in ((0.0, 1e-12, 1e300), (2.0, 1e-200, 1e200), (0.5, 1e-310, 1.0)):
+            lg = sp._g_and_log(p, np.array([y]))[1][0]
+            want = math.exp((p - 1.0) * y * y - np.logaddexp(math.log(k0), lg))
+            assert sp.g1_eval(p, y, k0) == want
+        assert sp.g1_eval(0.0, 1e-12, 1e300) == pytest.approx(1e-300, rel=1e-13)
+
+    YS = np.concatenate([[5e-324, 1e-310, 1e-200], np.geomspace(1e-12, 60.0, 97)])
+    K0S = np.array([0.0, 1e-14, 0.37, 1e6, 1e200])
+
+    @pytest.mark.parametrize("p", [-3.0, 0.07, 1.0, 1.9, 4.5])
+    def test_scalar_equals_vector_element(self, p):
+        for k0 in self.K0S[1:].tolist():
+            vals = sp.g1_eval(p, self.YS, k0)
+            assert vals.tolist() == [sp.g1_eval(p, y, k0) for y in self.YS.tolist()]
+
+    @pytest.mark.parametrize("p", [-3.0, 0.07, 1.0, 1.9, 4.5])
+    def test_k0_rows_equal_scalar_k0_calls(self, p):
+        # K0 = 0 (1/g) overflows at subnormal y
+        for k0s, ys in ((self.K0S[1:], self.YS), (self.K0S, self.YS[2:])):
+            rows = sp.g1_eval(p, ys, k0s[:, None])
+            for k0, row in zip(k0s.tolist(), rows):
+                assert row.tolist() == sp.g1_eval(p, ys, k0).tolist()
+
 
 class TestG2:
     def test_limit_one_at_zero(self):
@@ -313,7 +393,7 @@ class TestProfileFloatPath:
 
 
 class TestErrorFunctions:
-    """The package's own erf, erfc and erfcx against mpmath at 40 digits."""
+    """The package's own erf and erfcx against mpmath at 40 digits."""
 
     POINTS = np.concatenate([
         np.linspace(-30.0, 30.0, 241), np.geomspace(1e-300, 26.0, 120),
@@ -326,7 +406,6 @@ class TestErrorFunctions:
 
     @pytest.mark.parametrize("name, exact", [
         ("erf", mpmath.erf),
-        ("erfc", mpmath.erfc),
         ("erfcx", lambda x: mpmath.exp(x * x) * mpmath.erfc(x)),
     ])
     def test_against_mpmath(self, name, exact):
@@ -343,16 +422,15 @@ class TestErrorFunctions:
     def test_special_values(self):
         x = np.array([0.0, np.inf, -np.inf, np.nan, -30.0, 1e300])
         with np.errstate(all="raise"):
-            erf, erfc, erfcx = _erf.erf(x), _erf.erfc(x), _erf.erfcx(x)
+            erf, erfcx = _erf.erf(x), _erf.erfcx(x)
         np.testing.assert_array_equal(erf, [0.0, 1.0, -1.0, np.nan, -1.0, 1.0])
-        np.testing.assert_array_equal(erfc, [1.0, 0.0, 2.0, np.nan, 2.0, 0.0])
         np.testing.assert_array_equal(erfcx[:4], [1.0, 0.0, np.inf, np.nan])
         assert erfcx[4] == np.inf
         assert erfcx[5] == pytest.approx(1.0 / (math.sqrt(math.pi) * 1e300), rel=1e-15)
 
     def test_shapes(self):
         grid = np.geomspace(0.1, 10.0, 12).reshape(3, 4)
-        for fn in (_erf.erf, _erf.erfc, _erf.erfcx):
+        for fn in (_erf.erf, _erf.erfcx):
             assert fn(grid).shape == (3, 4)
             assert isinstance(fn(0.5), float)
         # erfcx takes one code path for scalars and arrays, strided or not
