@@ -155,8 +155,7 @@ def _polish(f, x1, x2, f1, f2, rows):
 
 def _residual(f, y, rows):
     lhs, rhs = f(y, rows)
-    in_place = isinstance(lhs, np.ndarray) and lhs.shape == np.broadcast(lhs, rhs).shape
-    return np.subtract(lhs, rhs, out=lhs if in_place else None, dtype=float)
+    return np.asarray(lhs - rhs, dtype=float)
 
 
 def _find_roots(f, scan_min: float, scan_max: float, n_points: int, tol: float,
@@ -164,25 +163,33 @@ def _find_roots(f, scan_min: float, scan_max: float, n_points: int, tol: float,
     """Every root of ``f`` in the scan window, for each of ``n_rows`` rows.
 
     ``f(y, rows)`` returns the pair (LHS, RHS) of the equation, broadcasting
-    ``y`` against the row indices ``rows``, in a new LHS array the scan may
-    overwrite. f is evaluated once on a (rows x grid) array; a root is accepted
-    when |LHS - RHS| <= tol * max(1, |LHS| + |RHS|), else ToleranceNotReached.
+    ``y`` against the row indices ``rows``. f is evaluated once on a
+    (rows x grid) array, and the scan subtracts the RHS into a returned LHS
+    array of that shape unless it may share memory with the grid. A root is
+    accepted when |LHS - RHS| <= tol * max(1, |LHS| + |RHS|), else
+    ToleranceNotReached.
     """
     grid = np.geomspace(scan_min, scan_max, n_points)
     with np.errstate(all="ignore"):
-        vals = np.broadcast_to(
-            _residual(f, grid[None, :], np.arange(n_rows)[:, None]), (n_rows, n_points))
+        lhs, rhs = f(grid[None, :], np.arange(n_rows)[:, None])
+        own = (isinstance(lhs, np.ndarray) and lhs.shape == np.broadcast(lhs, rhs).shape
+               and not np.may_share_memory(lhs, grid))
+        vals = np.broadcast_to(np.subtract(lhs, rhs, out=lhs if own else None, dtype=float),
+                               (n_rows, n_points))
         pos, neg = vals > 0.0, vals < 0.0    # sign changes from boolean masks
         change = pos[:, :-1] & neg[:, 1:]
-        change |= neg[:, :-1] & pos[:, 1:]
+        change |= np.logical_and(neg[:, :-1], pos[:, 1:], out=pos[:, 1:])  # pos is spent
         del pos, neg                           # freed before the finiteness masks
-        ok = np.isfinite(vals)
-        both = ok[:, :-1] & ok[:, 1:]
+        both = np.isfinite(vals[:, :-1])
+        both &= np.isfinite(vals[:, 1:])
         change &= both
         lo, hi = vals[:, :-1], vals[:, 1:]
-        zero = lo == 0.0
-        zero &= both
-        rows, cells = np.nonzero(change | zero)
+        found = lo == 0.0                      # exact zeros, then every cell to report
+        found &= both
+        skipped = both.shape[1] - both.sum(axis=1)
+        del both
+        found |= change
+        rows, cells = np.nonzero(found)
         polish = change[rows, cells]
         roots = grid[cells]
         res = scale = np.zeros(roots.shape)        # exact zeros of the scan
@@ -198,7 +205,6 @@ def _find_roots(f, scan_min: float, scan_max: float, n_points: int, tol: float,
         i = bad[0]
         raise ToleranceNotReached(
             f"residual {res[i]:.3e} > tolerance {bound[i]:.3e} at root ~{roots[i]:.6g}")
-    skipped = (~both).sum(axis=1)
     sets = [RootSet(roots=[], brackets=[], residuals=[], scan_max=float(scan_max),
                     scan_points=int(n_points), nonfinite_cells=int(skipped[r]))
             for r in range(n_rows)]

@@ -32,7 +32,6 @@ __all__ = [
 
 _SQRT_PI_2 = math.sqrt(math.pi) / 2.0
 _EXP_MAX = math.log(np.finfo(float).max)  # ~709.78
-_PLAIN = math.sqrt(np.finfo(float).max) / 2.0  # K0 w <= _PLAIN^2 is finite
 
 
 def _check_finite(name, value):
@@ -116,37 +115,29 @@ def g_eval(p: float, y):
 
 
 def g1_eval(p: float, y, k0):
-    """G1(p, y) = exp((p-1) y^2) / (K0 + g(p, y)) = u / (1 + K0 w).
+    """G1(p, y) = exp((p-1) y^2) / (K0 + g(p, y)).
 
-    u = exp((p-1) y^2 - log g) and w = 1/g are formed once on y's points, so
-    each K0 costs a multiply-add and a divide. Points where K0 w could overflow
-    (u, w or K0 above sqrt(max double)/2: g = 0 or below e^-354, as at subnormal
-    y) take the log-space form exp((p-1) y^2 - log(K0 + g)), so the result is
-    finite whenever the true value is. ``k0`` may be an array broadcasting
-    against ``y``; K0 = 0 gives G1~ = exp((p-1) y^2) / g, undefined at y = 0.
+    Numerator and denominator exponentials are combined in log space before
+    exponentiation, so the result is finite whenever the true value is. The
+    one (K0 x y) block, log(K0 + g), becomes the exponent and then G1 in
+    place. ``k0`` may be an array broadcasting against ``y``; K0 = 0 gives the
+    fixed-wall block G1~ = exp((p-1) y^2) / g(p, y), undefined at y = 0.
     """
     _check_finite("p", p)
     k0 = np.asarray(k0, dtype=float)
-    k0_max = k0.max(initial=0.0)  # NaN propagates through min and max
-    if not (k0.min(initial=math.inf) >= 0.0 and math.isfinite(k0_max)):
+    if not np.all(np.isfinite(k0) & (k0 >= 0.0)):
         raise NonFiniteInput(f"k0 must be finite and >= 0, got {k0}")
     y = _check_y(y, allow_zero=False)
     _, lg = _g_and_log(float(p), y)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        w, u = np.exp(-lg), np.exp((p - 1.0) * y * y - lg)
-        g1 = k0 * w  # the one (K0 x y) block, finished in place
-        g1 += 1.0
-        g1 = np.divide(u, g1, out=g1 if g1.ndim else None)
-        plain = np.maximum(u, w) <= _PLAIN  # False where either is NaN
-        if not (plain.all() and k0_max <= _PLAIN):
-            log_den = np.logaddexp(np.log(k0), lg)  # K0 = 0 leaves log g
-            if not np.all(k0 > 0.0) and np.any(np.isneginf(log_den)):
-                raise DomainError("g(p, y) = 0 with K0 = 0: G1 undefined")
-            exponent = (p - 1.0) * y * y - log_den
-            if np.any(exponent > _EXP_MAX):
-                raise OverflowUnrepresentable("G1 exceeds the double-precision range")
-            g1 = np.where(plain & (k0 <= _PLAIN), g1, np.exp(exponent))
-    return scalar_or_array(g1)
+    with np.errstate(divide="ignore"):
+        g1 = np.logaddexp(np.log(k0), lg)  # log(K0 + g); K0 = 0 leaves log g
+    if not np.all(k0 > 0.0) and np.any(np.isneginf(g1)):
+        raise DomainError("g(p, y) = 0 with K0 = 0: G1 undefined")
+    out = g1 if g1.ndim else None          # a 0-d result is a numpy scalar
+    g1 = np.subtract((p - 1.0) * y * y, g1, out=out)
+    if np.any(g1 > _EXP_MAX):
+        raise OverflowUnrepresentable("G1 exceeds the double-precision range")
+    return scalar_or_array(np.exp(g1, out=out))
 
 
 def g2_eval(y, gamma0: float):

@@ -286,6 +286,13 @@ class TestRootEngine:
         sets = _find_roots(shifted, 1e-3, 10.0, 256, 1e-12, n_rows=3)
         assert [s.roots for s in sets] == [[pytest.approx(c, rel=1e-15)] for c in (1, 2, 3)]
 
+    def test_lhs_viewing_the_grid_is_not_overwritten(self):
+        # the scan subtracts the RHS in place only into an LHS of its own
+        sets = _find_roots(lambda y, rows: (y, 1.0), 0.1, 10.0, 64, 1e-12)
+        assert sets[0].roots == [pytest.approx(1.0, rel=1e-15)]
+        lo, hi = sets[0].brackets[0]
+        assert lo < 1.0 < hi and hi / lo == pytest.approx(100.0 ** (1 / 63), rel=1e-12)
+
     def test_scan_masks_match_sign_products(self):
         # f is linear in each cell between set values at the grid points:
         # exact zeros (-0.0 too), +-inf and NaN, sign changes beside them
