@@ -108,10 +108,18 @@ def _calerf(x, scaled: bool) -> np.ndarray:
 # vectorized approximation. The kernels behind g_eval, g1_eval and the front
 # equation work on arrays only (_g_and_log's atleast_1d), and erfcx takes one
 # path, so their scalar and vector calls agree exactly.
-# Scalar profile callers call math.erf and math.erfc on floats themselves:
-# profiles' bound fields (the unfrozen one through special._profile_integral,
-# as is g_partial with a float eta) and the frozen-zone coefficients. An array
-# eta in g_partial comes here, so it can differ from a float in the last bits.
+# The profiles never come here: the bound fields (the unfrozen one through
+# special._profile_integral) and the frozen-zone coefficients take math.erf of
+# a float, and of each element of an array through pointwise, as the vectorized
+# erf differs from math.erf in the last bits on about half the points.
+
+def pointwise(fn, x):
+    """fn of a float, or of each element of an array as a float: an array
+    gives exactly the values its elements give one by one."""
+    if isinstance(x, float):
+        return fn(x)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
 
 def erf(x):
     return math.erf(x) if isinstance(x, float) or np.ndim(x) == 0 else _calerf(x, False)

@@ -17,7 +17,7 @@ from .errors import HypothesesNotMet
 from .model import DimensionlessParams
 from .profiles import Solution, build_temperature_solution
 from .solver import SolveOptions, solve_omega
-from .special import g_eval, lhs_limit_at_zero
+from .special import lhs_limit_at_zero
 
 __all__ = [
     "InequalityResult",
@@ -68,7 +68,7 @@ def k0_from_temperature(sol: Solution, b_ext: float) -> float:
     am_sq = dl.a_init * dl.m_par * sol.xi ** 2
     if b0 - am_sq <= 0.0:
         raise HypothesesNotMet("requires B0 > A M omega^2")
-    return (b_ext - b0) * g_eval(dl.p_par, sol.xi) / (b0 - am_sq)
+    return (b_ext - b0) * sol.g_xi / (b0 - am_sq)
 
 
 def h0_from_temperature(sol: Solution, b_ext: float) -> float:
@@ -92,7 +92,7 @@ def omega_inequality_check(sol: Solution, b_ext: float) -> InequalityResult:
     if b_ext <= b0:
         raise HypothesesNotMet(f"requires B > B0, got B = {b_ext}, B0 = {b0}")
     am_sq = dl.a_init * dl.m_par * sol.xi ** 2
-    lhs = (b0 - am_sq) / g_eval(dl.p_par, sol.xi)
+    lhs = (b0 - am_sq) / sol.g_xi
     # 2 alpha_U k_F A / (alpha_F k_U sqrt(pi)) = (delta2 / delta1) * B
     rhs = (dl.delta2 / dl.delta1) * dl.b_ext * (b_ext - b0) / b_ext
     return InequalityResult(holds=lhs > rhs, margin=lhs - rhs, lhs=lhs, rhs=rhs)
@@ -104,7 +104,7 @@ def omega_inequality_limit_check(sol: Solution) -> InequalityResult:
     dl = sol.dimless
     _require_regime(dl)
     am_sq = dl.a_init * dl.m_par * sol.xi ** 2
-    lhs = (sol.wall_temp - am_sq) / g_eval(dl.p_par, sol.xi)
+    lhs = (sol.wall_temp - am_sq) / sol.g_xi
     rhs = (dl.delta2 / dl.delta1) * dl.b_ext
     return InequalityResult(holds=lhs > rhs, margin=lhs - rhs, lhs=lhs, rhs=rhs)
 

@@ -16,6 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from ._erf import pointwise
 from .errors import DomainError, NonFiniteInput, OutOfPhaseRegion
 from .model import DimensionlessParams, PhysicalParams
 from .special import _profile_integral, g_eval, partial_integrand
@@ -26,6 +29,7 @@ __all__ = [
 ]
 
 _REL_SLACK = 1e-12  # tolerated relative overshoot at the front
+_X_MAX = float(np.finfo(float).max)  # the frozen zone's upper end: every finite x
 
 
 @dataclass(frozen=True)
@@ -34,8 +38,8 @@ class Solution:
 
     xi is the front coefficient; c1 = u(0, t) the wall value and c2 the
     coefficient of the profile integral in the unfrozen zone; c3, c4 the
-    frozen-zone coefficients. The interface temperature
-    u(s(t), t) = A M xi^2 is time independent.
+    frozen-zone coefficients; g_xi = g(p, xi), kept for the equivalence
+    maps. The interface temperature u(s(t), t) = A M xi^2 is time independent.
     """
 
     xi: float
@@ -43,6 +47,7 @@ class Solution:
     c2: float
     c3: float
     c4: float
+    g_xi: float
     dimless: DimensionlessParams
     phys: PhysicalParams | None
 
@@ -81,7 +86,7 @@ def build_convective_solution(phys: PhysicalParams, dl: DimensionlessParams,
     c1 = (dl.b_ext * g_xi + am_sq * dl.k0) / den
     c2 = (am_sq - dl.b_ext) / den
     c3, c4 = _frozen_coefficients(dl, xi)
-    return Solution(xi=xi, c1=c1, c2=c2, c3=c3, c4=c4, dimless=dl, phys=phys)
+    return Solution(xi=xi, c1=c1, c2=c2, c3=c3, c4=c4, g_xi=g_xi, dimless=dl, phys=phys)
 
 
 def build_temperature_solution(phys: PhysicalParams | None, dl: DimensionlessParams,
@@ -94,7 +99,8 @@ def build_temperature_solution(phys: PhysicalParams | None, dl: DimensionlessPar
     am_sq = dl.a_init * dl.m_par * omega ** 2
     c2 = (am_sq - dl.b0_wall) / g_om
     c3, c4 = _frozen_coefficients(dl, omega)
-    return Solution(xi=omega, c1=dl.b0_wall, c2=c2, c3=c3, c4=c4, dimless=dl, phys=phys)
+    return Solution(xi=omega, c1=dl.b0_wall, c2=c2, c3=c3, c4=c4, g_xi=g_om, dimless=dl,
+                    phys=phys)
 
 
 def eval_front(sol: Solution, t: float) -> float:
@@ -115,20 +121,32 @@ def _scales(sol: Solution, alpha: float, t: float):
     return 2.0 * sol.xi * sol.dimless.alpha_u * math.sqrt(t), 2.0 * alpha * math.sqrt(t)
 
 
+def _check_x(x, lo: float, hi: float, region: str):
+    """x, a float or an array checked elementwise, must be finite and in [lo, hi];
+    an array names its first non-finite element, else its first one outside."""
+    if isinstance(x, np.ndarray):
+        if ((lo <= x) & (x <= hi)).all():      # false for NaN and +-inf too
+            return
+        bad = ~np.isfinite(x)
+        x = float(x[bad if bad.any() else (x < lo) | (x > hi)][0])
+    if not math.isfinite(x):
+        raise NonFiniteInput(f"x must be finite, got {x}")
+    if not lo <= x <= hi:
+        raise OutOfPhaseRegion(f"x = {x} {region}")
+
+
 def unfrozen_field(sol: Solution, t: float):
     """u(., t) on 0 <= x <= s(t): t is checked and the t-dependent factors
-    formed once, x on every call; ``field(x, True)`` is the analytic u_x."""
+    formed once, x (a float or an array) on every call; ``field(x, True)``
+    is the analytic u_x."""
     s, half = _scales(sol, sol.dimless.alpha_u, t)
-    limit = s * (1.0 + _REL_SLACK)
+    limit, region = s * (1.0 + _REL_SLACK), f"is outside [0, s({t}) = {s}]"
     p, xi, c1, c2 = sol.dimless.p_par, sol.xi, sol.c1, sol.c2
     integral = _profile_integral(p, xi)
 
-    def field(x: float, derivative: bool = False) -> float:
-        if not math.isfinite(x):
-            raise NonFiniteInput(f"x must be finite, got {x}")
-        if not 0.0 <= x <= limit:
-            raise OutOfPhaseRegion(f"x = {x} is outside [0, s({t}) = {s}]")
-        eta = min(x / half, xi)
+    def field(x, derivative: bool = False):
+        _check_x(x, 0.0, limit, region)
+        eta = np.minimum(x / half, xi)
         if derivative:
             return c2 * partial_integrand(p, xi, eta) / half
         return c1 + c2 * integral(eta)
@@ -137,20 +155,18 @@ def unfrozen_field(sol: Solution, t: float):
 
 
 def frozen_field(sol: Solution, t: float):
-    """v(., t) on x >= s(t), bound as ``unfrozen_field`` is; ``field(x, True)`` is v_x."""
+    """v(., t) on x >= s(t), bound and checked as ``unfrozen_field`` is, with
+    math.erf and math.exp on every element; ``field(x, True)`` is v_x."""
     s, half = _scales(sol, sol.dimless.alpha_f, t)
-    limit = s * (1.0 - _REL_SLACK)
+    limit, region = s * (1.0 - _REL_SLACK), f"is before the front s({t}) = {s}"
     c3, c4 = sol.c3, sol.c4
 
-    def field(x: float, derivative: bool = False) -> float:
-        if not math.isfinite(x):
-            raise NonFiniteInput(f"x must be finite, got {x}")
-        if x < limit:
-            raise OutOfPhaseRegion(f"x = {x} is before the front s({t}) = {s}")
+    def field(x, derivative: bool = False):
+        _check_x(x, limit, _X_MAX, region)
         arg = x / half
         if derivative:
-            return c4 * (2.0 / math.sqrt(math.pi)) * math.exp(-arg * arg) / half
-        return c3 + c4 * math.erf(arg)
+            return c4 * (2.0 / math.sqrt(math.pi)) * pointwise(math.exp, -arg * arg) / half
+        return c3 + c4 * pointwise(math.erf, arg)
 
     return field
 

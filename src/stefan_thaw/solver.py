@@ -118,28 +118,31 @@ def _polish(f, x1, x2, f1, f2, rows):
     """Chandrupatla's method (Adv. Eng. Software 28:145, 1997) on every
     bracket [x1, x2] at once, f1 and f2 of opposite signs. Each bracket
     stops when it is _POLISH_ULPS wide, f is zero or f is not finite;
-    returns the end with the smaller |f| of each final bracket."""
-    out = np.empty_like(x1)
+    returns the rows (root, LHS - RHS, |LHS| + |RHS|) at the end with the
+    smaller |f| of each final bracket, the scale NaN at an end left from the scan."""
+    out = np.empty((3, x1.size))
+    s1 = s2 = np.full_like(x1, np.nan)
     idx = np.arange(x1.size)
     t = np.full_like(x1, 0.5)
     for _ in range(_MAX_POLISH):
         xt = x1 + t * (x2 - x1)
-        ft = _residual(f, xt, rows)
+        ft, st = _residual(f, xt, rows)
         same = np.sign(ft) == np.sign(f1)
         # keep the new point and the old end of opposite sign; x3 is dropped
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-        x1, f1 = xt, ft
-        xm = np.where(np.abs(f1) < np.abs(f2), x1, x2)
-        xtol = _POLISH_ULPS * _EPS * np.abs(xm)
+        x2, f2, s2 = np.where(same, x2, x1), np.where(same, f2, f1), np.where(same, s2, s1)
+        x1, f1, s1 = xt, ft, st
+        near = np.abs(f1) < np.abs(f2)
+        xtol = _POLISH_ULPS * _EPS * np.abs(np.where(near, x1, x2))
         dx = np.abs(x2 - x1)
         done = (f1 == 0.0) | (dx <= xtol) | ~np.isfinite(ft)
-        out[idx[done]] = xm[done]
-        if done.all():
-            return out
+        if done.any():
+            out[:, idx[done]] = np.where(near, (x1, f1, s1), (x2, f2, s2))[:, done]
+            if done.all():
+                return out
         keep = ~done
-        x1, x2, x3, f1, f2, f3, xm, xtol, dx, idx, rows = (
-            a[keep] for a in (x1, x2, x3, f1, f2, f3, xm, xtol, dx, idx, rows))
+        x1, x2, x3, f1, f2, f3, s1, s2, near, xtol, dx, idx, rows = (
+            a[keep] for a in (x1, x2, x3, f1, f2, f3, s1, s2, near, xtol, dx, idx, rows))
         # inverse quadratic interpolation where the three points allow it
         xi = (x1 - x2) / (x3 - x2)
         phi = (f1 - f2) / (f3 - f2)
@@ -149,13 +152,14 @@ def _polish(f, x1, x2, f1, f2, rows):
                      - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
         tl = 0.5 * xtol / dx
         t = np.clip(t, tl, 1.0 - tl)
-    out[idx] = xm
+    out[:, idx] = np.where(near, (x1, f1, s1), (x2, f2, s2))
     return out
 
 
 def _residual(f, y, rows):
+    """LHS - RHS at y, and the scale |LHS| + |RHS| of the root test."""
     lhs, rhs = f(y, rows)
-    return np.asarray(lhs - rhs, dtype=float)
+    return np.asarray(lhs - rhs, dtype=float), np.abs(lhs) + np.abs(rhs)
 
 
 def _find_roots(f, scan_min: float, scan_max: float, n_points: int, tol: float,
@@ -167,7 +171,8 @@ def _find_roots(f, scan_min: float, scan_max: float, n_points: int, tol: float,
     (rows x grid) array, and the scan subtracts the RHS into a returned LHS
     array of that shape unless it may share memory with the grid. A root is
     accepted when |LHS - RHS| <= tol * max(1, |LHS| + |RHS|), else
-    ToleranceNotReached.
+    ToleranceNotReached; both sides come from the polish's evaluation at the
+    root, and only a root left at a scan end is evaluated again.
     """
     grid = np.geomspace(scan_min, scan_max, n_points)
     with np.errstate(all="ignore"):
@@ -192,13 +197,14 @@ def _find_roots(f, scan_min: float, scan_max: float, n_points: int, tol: float,
         rows, cells = np.nonzero(found)
         polish = change[rows, cells]
         roots = grid[cells]
-        res = scale = np.zeros(roots.shape)        # exact zeros of the scan
+        res, scale = np.zeros(roots.shape), np.zeros(roots.shape)  # exact zeros of the scan
         if polish.any():
             r, i = rows[polish], cells[polish]
-            roots[polish] = _polish(f, grid[i], grid[i + 1], lo[r, i], hi[r, i], r)
-            lhs, rhs = f(roots, rows)
-            res = np.where(polish, np.abs(lhs - rhs), 0.0)
-            scale = np.abs(lhs) + np.abs(rhs)
+            x, fx, sx = _polish(f, grid[i], grid[i + 1], lo[r, i], hi[r, i], r)
+            again = np.isnan(sx)
+            if again.any():
+                fx[again], sx[again] = _residual(f, x[again], r[again])
+            roots[polish], res[polish], scale[polish] = x, np.abs(fx), sx
     bound = tol * np.maximum(1.0, scale)
     bad = np.nonzero(~(res <= bound))[0]
     if bad.size:

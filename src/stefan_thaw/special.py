@@ -22,11 +22,11 @@ import math
 
 import numpy as np
 
-from ._erf import erf, erfcx, scalar_or_array
+from ._erf import erf, erfcx, pointwise, scalar_or_array
 from .errors import DomainError, NonFiniteInput, OverflowUnrepresentable
 
 __all__ = [
-    "g_eval", "g_partial", "partial_integrand", "g1_eval", "g2_eval",
+    "g_eval", "partial_integrand", "g1_eval", "g2_eval",
     "lhs_convective", "lhs_temperature", "lhs_limit_at_zero", "rhs_eval",
 ]
 
@@ -36,7 +36,7 @@ _EXP_MAX = math.log(np.finfo(float).max)  # ~709.78
 
 def _check_finite(name, value):
     # a float (np.float64 too) by math.isfinite, about 50 times cheaper than
-    # the numpy reduction: a scalar g_partial call makes three checks
+    # the numpy reduction
     if not (math.isfinite(value) if isinstance(value, float) else np.all(np.isfinite(value))):
         raise NonFiniteInput(f"{name} must be finite")
 
@@ -198,22 +198,15 @@ def lhs_limit_at_zero(dl) -> float:
     return dl.delta1 / dl.k0 - dl.delta2
 
 
-def g_partial(p: float, xi: float, eta):
-    """Profile integral int_0^eta exp(-r^2 + p r xi) dr for eta in [0, xi].
+def _profile_integral(p: float, xi: float):
+    """Profile integral int_0^eta exp(-r^2 + p r xi) dr for eta in [0, xi],
+    as a function of eta (a float or an array) bound to (p, xi); the caller
+    checks eta.
 
     The cross term couples r to the front coefficient xi, not to the upper
     limit, so this is not g(p, eta). Closed form via the completed square
-    with c = p xi / 2.
+    with c = p xi / 2, with math.erf on every element.
     """
-    is_float = isinstance(eta, float)  # a float goes straight to math.erf
-    integral = _profile_integral(p, xi, math.erf if is_float else erf)
-    eta = eta if is_float else np.asarray(eta, dtype=float)
-    _check_finite("eta", eta)
-    return scalar_or_array(integral(eta))
-
-
-def _profile_integral(p: float, xi: float, erf_fn=math.erf):
-    """The profile integral as a function of eta, bound to (p, xi); the caller checks eta."""
     _check_finite("p", p)
     _check_finite("xi", xi)
     c = 0.5 * p * xi
@@ -221,7 +214,7 @@ def _profile_integral(p: float, xi: float, erf_fn=math.erf):
         raise OverflowUnrepresentable("profile integral scale exp(c^2) overflows")
     scale = _SQRT_PI_2 * math.exp(c * c)
     erf_c = math.erf(c)
-    return lambda eta: scale * (erf_fn(eta - c) + erf_c)
+    return lambda eta: scale * (pointwise(math.erf, eta - c) + erf_c)
 
 
 def partial_integrand(p: float, xi: float, eta):

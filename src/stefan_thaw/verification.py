@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import DomainError, VerificationFailed
 from .model import DimensionlessParams
-from .profiles import Solution, eval_front, eval_u, eval_u_x, eval_v, eval_v_x
-from .profiles import frozen_field, unfrozen_field
+from .profiles import Solution, eval_front, frozen_field, unfrozen_field
 from .special import g1_eval, g2_eval
 
 __all__ = [
@@ -91,24 +90,19 @@ def _pde_residuals(field, alpha: float, etas, t: float, steps, drift: float = 0.
     step h, with f differenced in eta: the unfrozen zone's advection-diffusion
     equation (drift b rho xi) or the frozen zone's diffusion equation (0).
 
-    ``field``, bound to t, takes x = eta 2 alpha sqrt(t) through its x checks.
-    The samples are Python floats and each distinct stencil point is
-    evaluated once: the centre value serves every step, so a zone costs
-    1 + 2 len(steps) evaluations per sample.
+    ``field``, bound to t, takes x = eta 2 alpha sqrt(t) through its x checks
+    in one call on the (samples x (1 + 2 len(steps))) stencil of centres, left
+    and right sides: each distinct point once, with the per-point loop's
+    arithmetic element by element. np.max keeps a NaN, so a NaN level fails.
     """
     half = 2.0 * alpha * math.sqrt(t)
-    worst = [0.0] * len(steps)
-    for e in etas.tolist():
-        f_0 = field(e * half)
-        adv = 2.0 * (e - drift)
-        for i, h in enumerate(steps):
-            f_m, f_p = field((e - h) * half), field((e + h) * half)
-            d1 = (f_p - f_m) / (2.0 * h)
-            d2 = (f_p - 2.0 * f_0 + f_m) / (h * h)
-            res = (d2 + adv * d1) / (4.0 * t)
-            # max() would drop a NaN; once a level is NaN it stays NaN
-            worst[i] = math.nan if math.isnan(res) else max(worst[i], abs(res))
-    return worst
+    e, h, n = etas[:, None], np.asarray(steps), len(steps)
+    f = field(np.concatenate([e, e - h, e + h], axis=1) * half)
+    f_0, f_m, f_p = f[:, :1], f[:, 1:1 + n], f[:, 1 + n:]
+    d1 = (f_p - f_m) / (2.0 * h)
+    d2 = (f_p - 2.0 * f_0 + f_m) / (h * h)
+    res = (d2 + 2.0 * (e - drift) * d1) / (4.0 * t)
+    return np.max(np.abs(res), axis=0).tolist()
 
 
 def _finish(report: ResidualReport, boundary_name: str):
@@ -140,8 +134,8 @@ def _finish(report: ResidualReport, boundary_name: str):
 
 
 def _verify(sol: Solution, boundary_name: str, boundary_gap) -> ResidualReport:
-    """Check a similarity solution against the full system; ``boundary_gap(t)``
-    is the gap in the condition at x = 0 at time t."""
+    """Check a similarity solution against the full system; ``boundary_gap(u, t)``
+    is the gap in the condition at x = 0 at time t, u the field bound to t."""
     dl = sol.dimless
     phys = sol.phys
     if phys is None:
@@ -153,26 +147,23 @@ def _verify(sol: Solution, boundary_name: str, boundary_gap) -> ResidualReport:
     # Both fields depend on (x, t) only through eta, so the stencil values
     # are the same at every probe time and the residual at time t is the one
     # at t0 times t0 / t: its max over the probe times is the value at t0.
+    fields = {t: (unfrozen_field(sol, t), frozen_field(sol, t)) for t in _PROBE_TIMES}
     t0 = min(_PROBE_TIMES)
-    pde_u = _pde_residuals(unfrozen_field(sol, t0), dl.alpha_u, u_etas, t0, u_steps, drift)
-    pde_v = _pde_residuals(frozen_field(sol, t0), dl.alpha_f, v_etas, t0, v_steps)
+    pde_u = _pde_residuals(fields[t0][0], dl.alpha_u, u_etas, t0, u_steps, drift)
+    pde_v = _pde_residuals(fields[t0][1], dl.alpha_f, v_etas, t0, v_steps)
 
     temp_gap = balance_gap = bc_gap = far_gap = 0.0
-    for t in _PROBE_TIMES:
+    for t, (u, v) in fields.items():
         s = eval_front(sol, t)
         s_dot = sol.xi * dl.alpha_u / math.sqrt(t)
         pressure_temp = dl.d_coef * dl.rho_jump * s * s_dot
-        temp_gap = max(
-            temp_gap,
-            abs(eval_u(sol, s, t) - pressure_temp),
-            abs(eval_v(sol, s, t) - pressure_temp),
-        )
-        flux = phys.k_f * eval_v_x(sol, s, t) - phys.k_u * eval_u_x(sol, s, t)
+        temp_gap = max(temp_gap, abs(u(s) - pressure_temp), abs(v(s) - pressure_temp))
+        flux = phys.k_f * v(s, True) - phys.k_u * u(s, True)
         sink = dl.alpha_lat * s_dot + dl.beta_coef * dl.rho_jump * s * s_dot ** 2
         balance_gap = max(balance_gap, abs(flux - sink))
-        bc_gap = max(bc_gap, boundary_gap(t))
+        bc_gap = max(bc_gap, boundary_gap(u, t))
         x_far = _FARFIELD_ETA * dl.alpha_f * math.sqrt(t)
-        far_gap = max(far_gap, abs(eval_v(sol, x_far, t) + dl.a_init))
+        far_gap = max(far_gap, abs(v(x_far) + dl.a_init))
 
     report = ResidualReport(
         levels=list(_ETA_STEPS),
@@ -188,9 +179,9 @@ def verify_convective(sol: Solution) -> ResidualReport:
     k_U u_x(0, t) = (h0 / sqrt(t)) (u(0, t) - B) at the wall."""
     phys = sol.phys
 
-    def robin_gap(t):
-        flux = phys.k_u * eval_u_x(sol, 0.0, t)
-        robin = (phys.h0 / math.sqrt(t)) * (eval_u(sol, 0.0, t) - phys.b_ext)
+    def robin_gap(u, t):
+        flux = phys.k_u * u(0.0, True)
+        robin = (phys.h0 / math.sqrt(t)) * (u(0.0) - phys.b_ext)
         return abs(flux - robin)
 
     return _verify(sol, "convective_bc_gap", robin_gap)
@@ -201,7 +192,7 @@ def verify_temperature(sol: Solution) -> ResidualReport:
     b0 = sol.dimless.b0_wall
     if b0 is None:
         raise DomainError("the wall-value check needs B0-bearing parameters")
-    return _verify(sol, "wall_bc_gap", lambda t: abs(eval_u(sol, 0.0, t) - b0))
+    return _verify(sol, "wall_bc_gap", lambda u, t: abs(u(0.0) - b0))
 
 
 def asymptotic_suite(dl: DimensionlessParams, y_far: float = 40.0,

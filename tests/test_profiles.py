@@ -231,3 +231,60 @@ class TestTemperatureDerivative:
         x, h = 0.4 * s, 1e-7 * s
         fd = (eval_u(sol_temp, x + h, t) - eval_u(sol_temp, x - h, t)) / (2 * h)
         assert eval_u_x(sol_temp, x, t) == pytest.approx(fd, rel=1e-6)
+
+
+class TestArrayFields:
+    """A bound field takes an array of x: each element gets exactly the value
+    its float gives, and the array's checks are the float's, elementwise."""
+
+    @staticmethod
+    def _points(sol, t, unfrozen):
+        # 2-D, through the whole zone, the wall or the front at the ends
+        s = eval_front(sol, t)
+        xs = np.linspace(0.0, s, 35) if unfrozen else s * np.linspace(1.0, 30.0, 35)
+        return xs.reshape(5, 7)
+
+    @pytest.mark.parametrize("t", [0.25, 1.0, 3.7])
+    @pytest.mark.parametrize("derivative", [False, True])
+    @pytest.mark.parametrize("unfrozen", [True, False])
+    @pytest.mark.parametrize("which", ["convective", "temperature"])
+    def test_equals_float_values(self, sol_pp, sol_temp, which, unfrozen, derivative, t):
+        sol = sol_pp if which == "convective" else sol_temp
+        field = (unfrozen_field if unfrozen else frozen_field)(sol, t)
+        xs = self._points(sol, t, unfrozen)
+        got = field(xs, derivative)
+        assert got.shape == xs.shape and got.dtype == np.float64
+        want = [field(x, derivative) for x in xs.ravel().tolist()]
+        assert got.ravel().tolist() == want
+        assert all(type(w) is float for w in want)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("unfrozen", [True, False])
+    def test_nonfinite_element_rejected(self, sol_pp, unfrozen, bad):
+        field = (unfrozen_field if unfrozen else frozen_field)(sol_pp, 1.0)
+        xs = self._points(sol_pp, 1.0, unfrozen)
+        for kind in (float, np.float64):
+            with pytest.raises(NonFiniteInput):
+                field(kind(bad))
+        xs[2, 3] = bad
+        for x in (xs, xs.ravel(), np.array(bad)):
+            for derivative in (False, True):
+                with pytest.raises(NonFiniteInput, match=f"got {bad}"):
+                    field(x, derivative)
+        xs[0, 1] = -1.0 if unfrozen else 0.0    # outside too: non-finite is named first
+        with pytest.raises(NonFiniteInput):
+            field(xs)
+
+    @pytest.mark.parametrize("unfrozen", [True, False])
+    def test_out_of_region_element_rejected(self, sol_pp, unfrozen):
+        s = eval_front(sol_pp, 1.0)
+        field = (unfrozen_field if unfrozen else frozen_field)(sol_pp, 1.0)
+        outside = (1.01 * s, -0.1) if unfrozen else (0.99 * s, 0.0)
+        for x in outside:
+            with pytest.raises(OutOfPhaseRegion):
+                field(x)
+            xs = self._points(sol_pp, 1.0, unfrozen)
+            xs[4, 6] = x
+            for derivative in (False, True):
+                with pytest.raises(OutOfPhaseRegion, match=f"x = {x} "):
+                    field(xs, derivative)

@@ -334,6 +334,105 @@ class TestRootEngine:
                     assert x == pytest.approx(want, rel=1e-14, abs=0.0)
             assert roots.nonfinite_cells == int((~both[r]).sum())
 
+    @staticmethod
+    def _polish_residual_cases():
+        """(label, lhs(y, row), rhs(y, row), root sets) for each shipped config,
+        an M < 0 medium that solves its q1 row too, and a 32-row h0 sweep."""
+        cases = []
+        for name, classical in (("thaw_convective", False), ("thaw_two_roots", False),
+                                ("thaw_classical", True)):
+            dl = reduce_params(load_config(CONVECTIVE_CFG.with_name(f"{name}.cfg")),
+                               classical=classical)
+            cases.append((name, lambda y, _, dl=dl: lhs_convective(y, dl),
+                          lambda y, _, dl=dl: rhs_eval(dl.n_par, y), [solve_xi(dl)[0]]))
+        # the subcritical medium has no convective front; its fixed wall at B has
+        dl = reduce_params(load_config(CONVECTIVE_CFG.with_name("thaw_subcritical.cfg")))
+        dl = dl.with_b0(dl.b_ext)
+        cases.append(("thaw_subcritical wall", lambda y, _, dl=dl: lhs_temperature(y, dl),
+                      lambda y, _, dl=dl: rhs_eval(dl.n_par, y), [solve_omega(dl)]))
+        dl = reduce_params(make_phys(gamma_cc=-0.115))
+        assert solver._reads_q1(dl)
+        cases.append(("M < 0 with its q1 row", lambda y, _, dl=dl: lhs_convective(y, dl),
+                      lambda y, row, dl=dl: row * rhs_eval(dl.n_par, y),
+                      solver._scan(lambda y, _: lhs_convective(y, dl), dl, SolveOptions(),
+                                   dl.b_ext, 2, q1_row=True)))
+        phys = load_config(CONVECTIVE_CFG)
+        dl = reduce_params(phys)
+        crit = critical_h0(phys)
+        k0 = phys.k_u / (2.0 * dl.alpha_u * np.geomspace(crit * 1.05, crit * 1e6, 32))
+        cases.append(("32-row sweep", lambda y, row: lhs_convective(y, dl, k0[row]),
+                      lambda y, _: rhs_eval(dl.n_par, y),
+                      solver._scan(lambda y, rows: lhs_convective(y, dl, k0[rows]), dl,
+                                   SolveOptions(), dl.b_ext, 32)))
+        return cases
+
+    def test_residuals_are_fresh_evaluations(self):
+        # the residual of each root comes from the polish's last evaluation;
+        # it must equal |LHS - RHS| evaluated afresh at the root, bit for bit
+        checked = 0
+        for label, lhs, rhs, sets in self._polish_residual_cases():
+            for row, roots in enumerate(sets):
+                for root, residual in zip(roots.roots, roots.residuals):
+                    y = np.array([root])
+                    fresh = float(np.abs(lhs(y, row) - rhs(y, row))[0])
+                    assert residual == fresh, (label, row, root)
+                    checked += 1
+        assert checked >= 6 + 32
+
+    @staticmethod
+    def _count_evaluations(f, monkeypatch):
+        """f wrapped to count its calls, and the counts (total, inside _polish)."""
+        counts = {"all": 0, "polish": 0}
+        polish = solver._polish
+
+        def counted(y, rows):
+            counts["all"] += 1
+            return f(y, rows)
+
+        def counted_polish(*args):
+            before = counts["all"]
+            try:
+                return polish(*args)
+            finally:
+                counts["polish"] += counts["all"] - before
+
+        monkeypatch.setattr(solver, "_polish", counted_polish)
+        return counted, counts
+
+    @pytest.mark.parametrize("problem", ["convective", "temperature"])
+    def test_no_evaluation_after_the_polish(self, problem, monkeypatch):
+        # one scan and the polish's own steps: no separate residual call
+        dl = reduce_params(load_config(CONVECTIVE_CFG))
+        name = "lhs_convective" if problem == "convective" else "lhs_temperature"
+        counted, counts = self._count_evaluations(getattr(solver, name), monkeypatch)
+        monkeypatch.setattr(solver, name, lambda y, dl: counted(y, dl))
+        roots = solve_xi(dl)[0] if problem == "convective" else solve_omega(dl)
+        assert len(roots.roots) == 1 and counts["polish"] >= 2
+        assert counts["all"] == 1 + counts["polish"]
+
+    def test_root_left_at_a_scan_end_is_evaluated_again(self, monkeypatch):
+        # the root lies 0.4 ulp above a grid point, so that end of the cell
+        # has the smaller |f|; the scan gave no |LHS| + |RHS| there
+        grid = np.geomspace(1e-3, 10.0, 64)
+        shift = 0.4 * math.ulp(grid[40])
+
+        def f(y, _):
+            return y - grid[40] - shift, 0.0
+
+        counted, counts = self._count_evaluations(f, monkeypatch)
+        roots = _find_roots(counted, 1e-3, 10.0, 64, 1e-12)[0]
+        assert roots.roots == [grid[40]]
+        assert roots.brackets == [(grid[40], grid[41])]
+        assert roots.residuals == [float(abs(f(np.array([grid[40]]), 0)[0][0]))]
+        assert counts["all"] == 1 + counts["polish"] + 1
+
+    @pytest.mark.parametrize("name", ["thaw_convective", "thaw_two_roots"])
+    def test_tolerance_failure_unchanged(self, name):
+        dl = reduce_params(load_config(CONVECTIVE_CFG.with_name(f"{name}.cfg")))
+        with pytest.raises(ToleranceNotReached,
+                           match=r"^residual \S+ > tolerance 1\.000e-300 at root ~0\.\d+$"):
+            solve_xi(dl, SolveOptions(tolerance=1e-300))
+
 
 class TestSolveOmega:
     def test_unique_in_guaranteed_interval(self):

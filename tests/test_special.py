@@ -301,12 +301,18 @@ class TestFiniteCheck:
         sp._check_finite("p", np.float64(0.5))
 
 
+def profile_integral(p, xi, eta):
+    """The profile integral through special._profile_integral, which the
+    unfrozen field binds to (p, xi)."""
+    return sp._profile_integral(p, xi)(eta)
+
+
 class TestProfileIntegral:
     def test_not_the_kernel_integral(self):
         # the exponent couples r to the front coefficient, not to the upper
-        # limit: g_partial(p, xi, eta) != g(p, eta) unless eta == xi
+        # limit: the profile integral at eta != g(p, eta) unless eta == xi
         p, xi, eta = 0.8, 1.5, 0.7
-        partial = sp.g_partial(p, xi, eta)
+        partial = profile_integral(p, xi, eta)
         ref, _ = __import__("scipy.integrate", fromlist=["quad"]).quad(
             lambda r: np.exp(-r * r + p * r * xi), 0.0, eta, epsabs=1e-13, epsrel=1e-13)
         assert partial == pytest.approx(ref, rel=1e-12)
@@ -314,37 +320,40 @@ class TestProfileIntegral:
 
     def test_full_upper_limit_recovers_kernel(self):
         for p, xi in ((0.5, 0.8), (-1.2, 2.0), (2.5, 1.1)):
-            assert sp.g_partial(p, xi, xi) == pytest.approx(sp.g_eval(p, xi), rel=1e-12)
+            assert profile_integral(p, xi, xi) == pytest.approx(sp.g_eval(p, xi), rel=1e-12)
 
     def test_integrand_is_derivative(self):
         p, xi, eta, h = 0.6, 1.2, 0.5, 1e-6
-        fd = (sp.g_partial(p, xi, eta + h) - sp.g_partial(p, xi, eta - h)) / (2 * h)
+        fd = (profile_integral(p, xi, eta + h) - profile_integral(p, xi, eta - h)) / (2 * h)
         assert fd == pytest.approx(sp.partial_integrand(p, xi, eta), rel=1e-9)
 
 
 class TestProfileFloatPath:
-    """A float eta skips numpy in g_partial and keeps the 0-d array's value."""
+    """A float eta skips numpy in the profile integral, and an array eta gets
+    math.erf on every element, so both give the same bits."""
 
     P, XI = 0.07, 0.3
 
     def test_float_equals_zero_d_array(self):
         rng = np.random.default_rng(13)
-        for e in rng.uniform(0.0, self.XI, 1000).tolist() + [0.0, self.XI]:
-            want = sp.g_partial(self.P, self.XI, np.asarray(e))
-            got = sp.g_partial(self.P, self.XI, e)
+        etas = rng.uniform(0.0, self.XI, 1000).tolist() + [0.0, self.XI]
+        integral = sp._profile_integral(self.P, self.XI)
+        whole = integral(np.array(etas))
+        for e, in_array in zip(etas, whole.tolist()):
+            got = integral(e)
             assert type(got) is float
-            assert got == want, e
+            assert got == integral(np.asarray(e)) == in_array, e
             assert sp.partial_integrand(self.P, self.XI, e) == \
                 sp.partial_integrand(self.P, self.XI, np.asarray(e)), e
 
-    @pytest.mark.parametrize("fn", [sp.g_partial, sp.partial_integrand])
+    @pytest.mark.parametrize("fn", [sp.partial_integrand])
     @pytest.mark.parametrize("kind", [float, np.float64])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_eta_rejected(self, fn, kind, bad):
         with pytest.raises(NonFiniteInput, match=r"^eta must be finite$"):
             fn(self.P, self.XI, kind(bad))
 
-    @pytest.mark.parametrize("fn", [sp.g_partial, sp.partial_integrand])
+    @pytest.mark.parametrize("fn", [profile_integral, sp.partial_integrand])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_p_and_xi_rejected(self, fn, bad):
         # partial_integrand used to return NaN with a RuntimeWarning
@@ -355,25 +364,26 @@ class TestProfileFloatPath:
 
     def test_float_call_makes_no_numpy_call(self, monkeypatch):
         etas = (0.0, 0.1, np.float64(0.2), self.XI)
-        want = [sp.g_partial(self.P, self.XI, np.asarray(e)) for e in etas]
+        want = [profile_integral(self.P, self.XI, np.asarray(e)) for e in etas]
 
         def refuse(*args, **kwargs):
             raise AssertionError("numpy called on a float eta")
 
         monkeypatch.setattr(sp.np, "asarray", refuse)
         monkeypatch.setattr(sp.np, "isfinite", refuse)
-        assert [sp.g_partial(self.P, self.XI, e) for e in etas] == want
+        assert [profile_integral(self.P, self.XI, e) for e in etas] == want
 
     def test_array_call_works_and_validates(self):
-        etas = np.linspace(0.0, self.XI, 7)
-        got = sp.g_partial(self.P, self.XI, etas)
-        assert got.shape == (7,)
-        for e, g in zip(etas, got):
-            assert g == pytest.approx(sp.g_partial(self.P, self.XI, float(e)), rel=1e-14)
-        assert sp.partial_integrand(self.P, self.XI, etas).shape == (7,)
-        for fn in (sp.g_partial, sp.partial_integrand):
-            with pytest.raises(NonFiniteInput, match=r"^eta must be finite$"):
-                fn(self.P, self.XI, np.array([0.1, math.nan]))
+        etas = np.linspace(0.0, self.XI, 14).reshape(2, 7)
+        got = profile_integral(self.P, self.XI, etas)
+        assert got.shape == (2, 7)
+        for e, g in zip(etas.ravel().tolist(), got.ravel().tolist()):
+            assert g == profile_integral(self.P, self.XI, e)
+        assert sp.partial_integrand(self.P, self.XI, etas).shape == (2, 7)
+        # the profile integral leaves eta to its caller, the bound field
+        # (tests/test_profiles.py TestArrayFields); the integrand checks it
+        with pytest.raises(NonFiniteInput, match=r"^eta must be finite$"):
+            sp.partial_integrand(self.P, self.XI, np.array([0.1, math.nan]))
 
 
 class TestErrorFunctions:

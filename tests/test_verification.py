@@ -14,6 +14,7 @@ from stefan_thaw.profiles import (
     build_temperature_solution,
     eval_u,
     eval_v,
+    unfrozen_field,
 )
 from stefan_thaw.solver import solve_omega, solve_xi
 from stefan_thaw import verification
@@ -137,14 +138,15 @@ class TestSamplingWindows:
         assert v_etas[0] == pytest.approx(sol.dimless.gamma0 * sol.xi + 0.1)
 
     def test_each_stencil_point_evaluated_once(self, phys_pp, monkeypatch):
-        counts = {}
+        stencils = {}
 
         def counting(build):
             def counting_build(sol, t):
                 field = build(sol, t)
 
                 def counted(x, derivative=False):
-                    counts[build.__name__] = counts.get(build.__name__, 0) + 1
+                    if isinstance(x, np.ndarray):
+                        stencils.setdefault(build.__name__, []).append(x)
                     return field(x, derivative)
 
                 return counted
@@ -154,8 +156,13 @@ class TestSamplingWindows:
         for name in ("unfrozen_field", "frozen_field"):
             monkeypatch.setattr(verification, name, counting(getattr(verification, name)))
         assert verify_convective(convective_solution(phys_pp)).ok
-        # per sample, one centre value and the two sides of each of 3 steps
-        assert counts == {"unfrozen_field": 64 * 7, "frozen_field": 64 * 7}
+        # one array call per zone: per sample, one centre value and the two
+        # sides of each of 3 steps, every point distinct
+        assert sorted(stencils) == ["frozen_field", "unfrozen_field"]
+        for calls in stencils.values():
+            (x,) = calls
+            assert x.shape == (64, 7)
+            assert np.unique(x).size == 64 * 7
 
     @pytest.mark.parametrize("unfrozen", [True, False])
     def test_stencil_points_pass_the_region_checks(self, phys_pp, unfrozen, monkeypatch):
@@ -241,6 +248,80 @@ class TestSimilarityScaling:
         pde_u, pde_v = _max_over_probe_times(sol)
         assert report.pde_u_residual == pde_u
         assert report.pde_v_residual == pde_v
+
+
+def _per_point_residuals(field, alpha, etas, t, steps, drift=0.0):
+    """The stencil as a loop over Python floats, one field call per point."""
+    half = 2.0 * alpha * math.sqrt(t)
+    worst = [0.0] * len(steps)
+    for e in etas.tolist():
+        f_0 = field(e * half)
+        adv = 2.0 * (e - drift)
+        for i, h in enumerate(steps):
+            f_m, f_p = field((e - h) * half), field((e + h) * half)
+            d1 = (f_p - f_m) / (2.0 * h)
+            d2 = (f_p - 2.0 * f_0 + f_m) / (h * h)
+            res = (d2 + adv * d1) / (4.0 * t)
+            worst[i] = math.nan if math.isnan(res) else max(worst[i], abs(res))
+    return worst
+
+
+def _stencil_case(name):
+    """A solution and its verifier, by case name: _reference_case's, and the
+    fixed wall at B of thaw_subcritical.cfg, which has no convective front."""
+    if name != "subcritical_wall":
+        return _reference_case(name)
+    phys = load_config(CONFIGS / "thaw_subcritical.cfg")
+    dl = reduce_params(phys).with_b0(phys.b_ext)
+    return build_temperature_solution(phys, dl, solve_omega(dl).principal), verify_temperature
+
+
+class TestArrayStencil:
+    @pytest.mark.parametrize("name", [
+        "convective", "temperature", "two_roots", "classical", "subcritical_wall",
+        "shallow_f2",
+    ])
+    def test_equals_per_point_loop(self, name, monkeypatch):
+        # both zones, at every level, bit for bit: the verifier's stencils
+        # are recorded as it runs and each is redone one point at a time
+        sol, verify = _stencil_case(name)
+        stencil = verification._pde_residuals
+        seen = []
+
+        def both(field, alpha, etas, t, steps, drift=0.0):
+            got = stencil(field, alpha, etas, t, steps, drift)
+            seen.append((got, _per_point_residuals(field, alpha, etas, t, steps, drift)))
+            return got
+
+        monkeypatch.setattr(verification, "_pde_residuals", both)
+        report = verify(sol)
+        assert report.ok
+        assert len(seen) == 2
+        (u_got, u_ref), (v_got, v_ref) = seen
+        assert u_got == u_ref == report.pde_u_residual
+        assert v_got == v_ref == report.pde_v_residual
+        assert all(type(r) is float for r in u_got + v_got)
+
+    def test_nan_value_matches_per_point_loop(self):
+        # a NaN anywhere in the zone makes the same levels NaN in both forms
+        sol = _stencil_case("convective")[0]
+        t0 = min(verification._PROBE_TIMES)
+        etas, steps = verification._unfrozen_window(sol.xi)
+        field = unfrozen_field(sol, t0)
+        half = 2.0 * sol.dimless.alpha_u * math.sqrt(t0)
+        for bad_eta in (etas[3], etas[3] - steps[2], etas[-1] + steps[0]):
+            bad = bad_eta * half
+
+            def holed(x):
+                if isinstance(x, np.ndarray):
+                    return np.where(x == bad, math.nan, field(x))
+                return math.nan if x == bad else field(x)
+
+            got = verification._pde_residuals(holed, sol.dimless.alpha_u, etas, t0, steps)
+            ref = _per_point_residuals(holed, sol.dimless.alpha_u, etas, t0, steps)
+            assert [math.isnan(r) for r in got] == [math.isnan(r) for r in ref]
+            assert any(math.isnan(r) for r in got)
+            assert [r for r in got if not math.isnan(r)] == [r for r in ref if not math.isnan(r)]
 
 
 class TestFitOrder:
@@ -381,7 +462,8 @@ class TestFailClosed:
             bad = (etas.tolist()[6] + (steps[1] if side else 0.0)) * (2.0 * alpha * math.sqrt(t))
 
             def patched(x):
-                return math.nan if x == bad else field(x)
+                assert np.count_nonzero(x == bad) == 1    # one array call: the stencil
+                return np.where(x == bad, math.nan, field(x))
 
             return stencil(patched, alpha, etas, t, steps, drift)
 
