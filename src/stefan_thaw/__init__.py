@@ -34,8 +34,8 @@ from .profiles import (
     build_convective_solution,
     build_temperature_solution,
     eval_front,
-    eval_u,
-    eval_v,
+    frozen_field,
+    unfrozen_field,
 )
 from .solver import (
     RegimeReport,

@@ -9,8 +9,6 @@ ulp over the whole double range.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 _SQRPI = 5.6418958354775628695e-1     # 1 / sqrt(pi)
@@ -104,15 +102,6 @@ def _calerf(x, scaled: bool) -> np.ndarray:
     return out.reshape(shape)
 
 
-# Scalars go to the C library's math.erf (within an ulp), arrays to the
-# vectorized approximation. The kernels behind g_eval, g1_eval and the front
-# equation work on arrays only (_g_and_log's atleast_1d), and erfcx takes one
-# path, so their scalar and vector calls agree exactly.
-# The profiles never come here: the bound fields (the unfrozen one through
-# special._profile_integral) and the frozen-zone coefficients take math.erf of
-# a float, and of each element of an array through pointwise, as the vectorized
-# erf differs from math.erf in the last bits on about half the points.
-
 def pointwise(fn, x):
     """fn of a float, or of each element of an array as a float: an array
     gives exactly the values its elements give one by one."""
@@ -122,7 +111,8 @@ def pointwise(fn, x):
 
 
 def erf(x):
-    return math.erf(x) if isinstance(x, float) or np.ndim(x) == 0 else _calerf(x, False)
+    """erf, by one path for scalars and arrays."""
+    return scalar_or_array(_calerf(x, False))
 
 
 def erfcx(x):

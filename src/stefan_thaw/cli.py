@@ -223,8 +223,8 @@ def cmd_equiv(args) -> int:
         x_f = s + 3.0 * c * dl.alpha_f * math.sqrt(t)
         gap = max(
             gap,
-            abs(profiles.eval_u(sol, x_u, t) - profiles.eval_u(tsol, x_u, t)),
-            abs(profiles.eval_v(sol, x_f, t) - profiles.eval_v(tsol, x_f, t)),
+            abs(profiles.unfrozen_field(sol, t)(x_u) - profiles.unfrozen_field(tsol, t)(x_u)),
+            abs(profiles.frozen_field(sol, t)(x_f) - profiles.frozen_field(tsol, t)(x_f)),
         )
     lines = [
         "h0,xi,b0,omega,roundtrip_h0,max_profile_gap",

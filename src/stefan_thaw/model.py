@@ -7,7 +7,7 @@ trusted as given; there is no conversion layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError, DegenerateDensityJump, InvalidParameter
@@ -53,6 +53,7 @@ class PhysicalParams:
     _POSITIVE = (
         "rho_w", "rho_i", "c_w", "c_i", "c_u", "c_f", "k_u", "k_f",
         "rho_u", "rho_f", "latent_l", "mu", "perm_k", "a_init", "b_ext",
+        "d_u", "d_f",     # k / (rho c) can underflow or overflow
     )
 
     def __post_init__(self):
@@ -74,6 +75,14 @@ class PhysicalParams:
             raise InvalidParameter("h0", "one of h0 or b0_wall must be given")
 
     @property
+    def d_u(self) -> float:  # diffusivity of the unfrozen zone, cm^2/s
+        return self.k_u / (self.rho_u * self.c_u)
+
+    @property
+    def d_f(self) -> float:  # diffusivity of the frozen zone
+        return self.k_f / (self.rho_f * self.c_f)
+
+    @property
     def rho_jump(self) -> float:
         return (self.rho_w - self.rho_i) / self.rho_w
 
@@ -83,8 +92,7 @@ class PhysicalParams:
         (A/B) * k_F / sqrt(pi * d_F): below it, in the M>0, N>0, p<=1 regime,
         the front equation has no admissible root.
         """
-        d_f = self.k_f / (self.rho_f * self.c_f)
-        return (self.a_init / self.b_ext) * self.k_f / math.sqrt(math.pi * d_f)
+        return (self.a_init / self.b_ext) * self.k_f / math.sqrt(math.pi * self.d_f)
 
 
 @dataclass(frozen=True)
@@ -119,13 +127,24 @@ class DimensionlessParams:
     b0_wall: float | None = None
     classical: bool = False           # rho = 0 reduction was requested
 
+    _FREE = ("b_coef", "d_coef", "rho_jump", "beta_coef", "m_par", "n_par", "p_par")
+    # B0 comes before the delta1_tilde formed from it, so a bad B0 is named
+    _POSITIVE = ("d_u", "d_f", "alpha_u", "alpha_f", "alpha_lat", "delta1", "delta2",
+                 "gamma0", "a_init", "b_ext", "b0_wall", "delta1_tilde")
+
+    def __post_init__(self):
+        for name in self._FREE + self._POSITIVE + ("k0",):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidParameter(name, f"must be a finite number, got {value!r}")
+            if value is not None and name in self._POSITIVE and value <= 0.0:
+                raise InvalidParameter(name, f"must be > 0, got {value}")
+        if self.k0 is not None and self.k0 < 0.0:
+            raise InvalidParameter("k0", f"must be >= 0, got {self.k0}")
+
     def with_b0(self, b0: float) -> "DimensionlessParams":
         """Copy with the wall temperature (and delta1_tilde) replaced."""
-        if b0 <= 0.0:
-            raise InvalidParameter("b0_wall", f"must be > 0, got {b0}")
-        from dataclasses import replace
-        scale = self.delta1 / self.b_ext
-        return replace(self, b0_wall=b0, delta1_tilde=scale * b0)
+        return replace(self, b0_wall=b0, delta1_tilde=self.delta1 / self.b_ext * b0)
 
 
 def reduce_params(phys: PhysicalParams, classical: bool = False) -> DimensionlessParams:
@@ -136,8 +155,7 @@ def reduce_params(phys: PhysicalParams, classical: bool = False) -> Dimensionles
     groups (p, M, N for rho=0; N for beta=0) to zero and proceeds as the
     classical Stefan reduction.
     """
-    d_u = phys.k_u / (phys.rho_u * phys.c_u)
-    d_f = phys.k_f / (phys.rho_f * phys.c_f)
+    d_u, d_f = phys.d_u, phys.d_f
     alpha_u = math.sqrt(d_u)
     alpha_f = math.sqrt(d_f)
 

@@ -21,11 +21,11 @@ import numpy as np
 from ._erf import pointwise
 from .errors import DomainError, NonFiniteInput, OutOfPhaseRegion
 from .model import DimensionlessParams, PhysicalParams
-from .special import _profile_integral, g_eval, partial_integrand
+from .special import _profile_integral, _profile_integrand, g_eval
 
 __all__ = [
     "Solution", "build_convective_solution", "build_temperature_solution",
-    "eval_u", "eval_v", "eval_front", "eval_u_x", "eval_v_x", "unfrozen_field", "frozen_field",
+    "eval_front", "unfrozen_field", "frozen_field",
 ]
 
 _REL_SLACK = 1e-12  # tolerated relative overshoot at the front
@@ -114,11 +114,9 @@ def eval_front(sol: Solution, t: float) -> float:
 
 def _scales(sol: Solution, alpha: float, t: float):
     """Check t for a field; return s(t) and the x -> eta scale 2 alpha sqrt(t)."""
-    if not math.isfinite(t):
-        raise NonFiniteInput(f"t must be finite, got {t}")
-    if t <= 0.0:
+    if math.isfinite(t) and t <= 0.0:      # eval_front rejects a non-finite t
         raise DomainError(f"t must be > 0, got {t}")
-    return 2.0 * sol.xi * sol.dimless.alpha_u * math.sqrt(t), 2.0 * alpha * math.sqrt(t)
+    return eval_front(sol, t), 2.0 * alpha * math.sqrt(t)
 
 
 def _check_x(x, lo: float, hi: float, region: str):
@@ -142,13 +140,13 @@ def unfrozen_field(sol: Solution, t: float):
     s, half = _scales(sol, sol.dimless.alpha_u, t)
     limit, region = s * (1.0 + _REL_SLACK), f"is outside [0, s({t}) = {s}]"
     p, xi, c1, c2 = sol.dimless.p_par, sol.xi, sol.c1, sol.c2
-    integral = _profile_integral(p, xi)
+    integral, integrand = _profile_integral(p, xi), _profile_integrand(p, xi)
 
     def field(x, derivative: bool = False):
         _check_x(x, 0.0, limit, region)
         eta = np.minimum(x / half, xi)
         if derivative:
-            return c2 * partial_integrand(p, xi, eta) / half
+            return c2 * integrand(eta) / half
         return c1 + c2 * integral(eta)
 
     return field
@@ -170,21 +168,3 @@ def frozen_field(sol: Solution, t: float):
 
     return field
 
-
-def eval_u(sol: Solution, x: float, t: float) -> float:
-    """Unfrozen-zone temperature, 0 <= x <= s(t); u(0, t) = c1 exactly."""
-    return unfrozen_field(sol, t)(x)
-
-
-def eval_u_x(sol: Solution, x: float, t: float) -> float:
-    """Analytic spatial derivative of u (no differencing noise at the front)."""
-    return unfrozen_field(sol, t)(x, True)
-
-
-def eval_v(sol: Solution, x: float, t: float) -> float:
-    """Frozen-zone temperature, x >= s(t); tends to -A as x -> infinity."""
-    return frozen_field(sol, t)(x)
-
-
-def eval_v_x(sol: Solution, x: float, t: float) -> float:
-    return frozen_field(sol, t)(x, True)

@@ -25,7 +25,7 @@ from .errors import (
     UniquenessViolation,
 )
 from .model import DimensionlessParams, PhysicalParams, reduce_params
-from .special import lhs_convective, lhs_limit_at_zero, lhs_temperature, rhs_eval
+from .special import lhs_convective, lhs_limit_at_zero, lhs_temperature
 
 __all__ = [
     "SolveOptions", "RootSet", "RegimeReport",
@@ -231,8 +231,8 @@ def _scan(lhs, dl: DimensionlessParams, opts: SolveOptions, wall: float, n_rows:
     by the row index: row 0 solves LHS = 0, whose smallest root is q1, and
     row 1 LHS = RHS, on one LHS evaluation."""
     def f(y, rows):
-        rhs = rhs_eval(dl.n_par, y)
-        return lhs(y, rows), rows * rhs if q1_row else rhs
+        left, rhs = lhs(y, rows), y + dl.n_par * y ** 3     # the LHS checks y
+        return left, rows * rhs if q1_row else rhs
 
     scan_max = _default_scan_max(dl, wall) if opts.scan_max is None else opts.scan_max
     return _find_roots(f, scan_max * 1e-12, scan_max, opts.scan_points, opts.tolerance,

@@ -13,7 +13,8 @@ closed form
 which overflows or cancels catastrophically in different (p, y) corners, so
 evaluation is split into branches that route all exp(+z^2)*erfc(z) products
 through erfcx. Functions accept scalars or numpy arrays in ``y`` (``p`` is
-scalar) and are pure.
+scalar) and are pure. Each input is checked once, where it enters: the LHS
+checks ``y`` and a caller's ``k0`` and runs unchecked kernels.
 """
 
 from __future__ import annotations
@@ -44,13 +45,14 @@ def _check_finite(name, value):
 def _check_y(y, allow_zero=True):
     y = np.asarray(y, dtype=float)
     _check_finite("y", y)
-    if allow_zero:
-        if np.any(y < 0.0):
-            raise DomainError("y must be >= 0")
-    else:
-        if np.any(y <= 0.0):
-            raise DomainError("y must be > 0")
+    if np.any(y < 0.0) if allow_zero else np.any(y <= 0.0):
+        raise DomainError(f"y must be {'>=' if allow_zero else '>'} 0")
     return y
+
+
+def _log_positive(x):
+    """log x where x > 0, else -inf, without evaluating log there."""
+    return np.where(x > 0.0, np.log(np.where(x > 0.0, x, 1.0)), -np.inf)
 
 
 def _g_and_log(p: float, y: np.ndarray):
@@ -71,7 +73,7 @@ def _g_and_log(p: float, y: np.ndarray):
         if 0.0 <= p <= 2.0:
             # both erf arguments nonnegative: no cancellation
             s = _SQRT_PI_2 * (erf(c1 * y) + erf(c2 * y))
-            log_g = np.where(s > 0.0, e_sq + np.log(np.where(s > 0.0, s, 1.0)), -np.inf)
+            log_g = e_sq + _log_positive(s)
             g = np.exp(e_sq) * s
             used = e_sq > _EXP_MAX
             g = np.where(used, np.exp(np.minimum(log_g, _EXP_MAX + 1.0)), g)
@@ -82,24 +84,17 @@ def _g_and_log(p: float, y: np.ndarray):
             direct = _SQRT_PI_2 * np.exp(e_sq) * (erf(c1 * y) - erf(b))
             scaled = _SQRT_PI_2 * (erfcx(b) - erfcx(c1 * y) * np.exp((p - 1.0) * y * y))
             g = np.where(b < 1.0, direct, scaled)
-            log_g = np.where(g > 0.0, np.log(np.where(g > 0.0, g, 1.0)), -np.inf)
+            log_g = _log_positive(g)
         else:  # p > 2
             a = -c1 * y  # (p/2 - 1) y >= 0
             grow = (p - 1.0) * y * y
             # exact identity: g = sqrt(pi)/2 * (erfcx(a) e^{(p-1)y^2} - erfcx(py/2))
             log_arg = _SQRT_PI_2 * (erfcx(a) - erfcx(c2 * y) * np.exp(-grow))
-            log_g_scaled = np.where(
-                log_arg > 0.0, grow + np.log(np.where(log_arg > 0.0, log_arg, 1.0)), -np.inf
-            )
+            log_g_scaled = grow + _log_positive(log_arg)
             direct = _SQRT_PI_2 * np.exp(e_sq) * (erf(c2 * y) - erf(a))
             use_scaled = (a >= 1.0) | (e_sq > _EXP_MAX)
-            g = np.where(
-                use_scaled, np.exp(np.minimum(log_g_scaled, _EXP_MAX + 1.0)), direct
-            )
-            log_g_direct = np.where(
-                direct > 0.0, np.log(np.where(direct > 0.0, direct, 1.0)), -np.inf
-            )
-            log_g = np.where(use_scaled, log_g_scaled, log_g_direct)
+            g = np.where(use_scaled, np.exp(np.minimum(log_g_scaled, _EXP_MAX + 1.0)), direct)
+            log_g = np.where(use_scaled, log_g_scaled, _log_positive(direct))
 
     return g.reshape(shape), log_g.reshape(shape)
 
@@ -114,20 +109,16 @@ def g_eval(p: float, y):
     return scalar_or_array(_g_and_log(float(p), y)[0])
 
 
-def g1_eval(p: float, y, k0):
-    """G1(p, y) = exp((p-1) y^2) / (K0 + g(p, y)).
-
-    Numerator and denominator exponentials are combined in log space before
-    exponentiation, so the result is finite whenever the true value is. The
-    one (K0 x y) block, log(K0 + g), becomes the exponent and then G1 in
-    place. ``k0`` may be an array broadcasting against ``y``; K0 = 0 gives the
-    fixed-wall block G1~ = exp((p-1) y^2) / g(p, y), undefined at y = 0.
-    """
-    _check_finite("p", p)
+def _check_k0(k0):
     k0 = np.asarray(k0, dtype=float)
     if not np.all(np.isfinite(k0) & (k0 >= 0.0)):
         raise NonFiniteInput(f"k0 must be finite and >= 0, got {k0}")
-    y = _check_y(y, allow_zero=False)
+    return k0
+
+
+def _g1(p: float, y: np.ndarray, k0):
+    """G1 on a checked y and K0, in the one (K0 x y) block that log(K0 + g)
+    becomes: the exponent and then G1 are written into it."""
     _, lg = _g_and_log(float(p), y)
     with np.errstate(divide="ignore"):
         g1 = np.logaddexp(np.log(k0), lg)  # log(K0 + g); K0 = 0 leaves log g
@@ -137,7 +128,21 @@ def g1_eval(p: float, y, k0):
     g1 = np.subtract((p - 1.0) * y * y, g1, out=out)
     if np.any(g1 > _EXP_MAX):
         raise OverflowUnrepresentable("G1 exceeds the double-precision range")
-    return scalar_or_array(np.exp(g1, out=out))
+    return np.exp(g1, out=out)
+
+
+def g1_eval(p: float, y, k0):
+    """G1(p, y) = exp((p-1) y^2) / (K0 + g(p, y)).
+
+    Numerator and denominator exponentials are combined in log space before
+    exponentiation, so the result is finite whenever the true value is.
+    ``k0`` may be an array broadcasting against ``y``; K0 = 0 gives the
+    fixed-wall block G1~ = exp((p-1) y^2) / g(p, y), undefined at y = 0.
+    """
+    _check_finite("p", p)
+    k0 = _check_k0(k0)
+    y = _check_y(y, allow_zero=False)
+    return scalar_or_array(_g1(p, y, k0))
 
 
 def g2_eval(y, gamma0: float):
@@ -156,14 +161,13 @@ def rhs_eval(n: float, y):
 
 
 def _lhs(y, dl, d1, wall, k0):
-    """d1 (1 - (A M / wall) y^2) G1(p, y) - delta2 (1 + M y^2) G2(y), G1 with
-    Robin group ``k0``: the fixed-wall equation is the convective one with
-    delta1~, B0 and K0 = 0. The G1 block is finished in place."""
-    y = _check_y(y, allow_zero=False)
+    """d1 (1 - (A M / wall) y^2) G1(p, y) - delta2 (1 + M y^2) G2(y) on a
+    checked y and Robin group ``k0``, the G1 block finished in place: the
+    fixed-wall equation is the convective one with delta1~, B0 and K0 = 0."""
     m = dl.m_par
-    lhs = g1_eval(dl.p_par, y, k0)
+    lhs = _g1(dl.p_par, y, k0)
     lhs *= d1 * (1.0 - dl.a_init * m / wall * y ** 2)
-    lhs -= dl.delta2 * (1.0 + m * y ** 2) * g2_eval(y, dl.gamma0)
+    lhs -= dl.delta2 * (1.0 + m * y ** 2) * (1.0 / erfcx(dl.gamma0 * y))
     return scalar_or_array(lhs)
 
 
@@ -177,7 +181,8 @@ def lhs_convective(y, dl, k0=None):
     """
     if dl.k0 is None:
         raise DomainError("convective LHS needs h0-bearing parameters (k0)")
-    return _lhs(y, dl, dl.delta1, dl.b_ext, dl.k0 if k0 is None else k0)
+    y = _check_y(y, allow_zero=False)
+    return _lhs(y, dl, dl.delta1, dl.b_ext, dl.k0 if k0 is None else _check_k0(k0))
 
 
 def lhs_temperature(y, dl):
@@ -188,7 +193,7 @@ def lhs_temperature(y, dl):
     """
     if dl.delta1_tilde is None or dl.b0_wall is None:
         raise DomainError("temperature LHS needs B0-bearing parameters")
-    return _lhs(y, dl, dl.delta1_tilde, dl.b0_wall, 0.0)
+    return _lhs(_check_y(y, allow_zero=False), dl, dl.delta1_tilde, dl.b0_wall, 0.0)
 
 
 def lhs_limit_at_zero(dl) -> float:
@@ -217,6 +222,12 @@ def _profile_integral(p: float, xi: float):
     return lambda eta: scale * (pointwise(math.erf, eta - c) + erf_c)
 
 
+def _profile_integrand(p: float, xi: float):
+    """exp(-eta^2 + p eta xi) bound to (p, xi), unchecked; np.exp on a float
+    too, for the analytic u_x's last bits."""
+    return lambda eta: scalar_or_array(np.exp(-eta * eta + p * eta * xi))
+
+
 def partial_integrand(p: float, xi: float, eta):
     """Integrand exp(-eta^2 + p eta xi) of the profile integral (for analytic
     spatial derivatives)."""
@@ -224,4 +235,4 @@ def partial_integrand(p: float, xi: float, eta):
     _check_finite("xi", xi)
     eta = np.asarray(eta, dtype=float)
     _check_finite("eta", eta)
-    return scalar_or_array(np.exp(-eta * eta + p * eta * xi))
+    return _profile_integrand(p, xi)(eta)

@@ -34,6 +34,7 @@ _GAP_TOL = 1e-8
 _MIN_ORDER = 1.8
 _MIN_R2 = 0.99
 _FARFIELD_ETA = 40.0                    # in units of alpha_F sqrt(t)
+_Y_FAR, _Y_RATIO, _N_GRID = 40.0, 25.0, 1000  # asymptotic suite: limit, equivalents, grid
 
 
 @dataclass
@@ -195,8 +196,7 @@ def verify_temperature(sol: Solution) -> ResidualReport:
     return _verify(sol, "wall_bc_gap", lambda u, t: abs(u(0.0) - b0))
 
 
-def asymptotic_suite(dl: DimensionlessParams, y_far: float = 40.0,
-                     y_ratio: float = 25.0, n_grid: int = 1000) -> dict:
+def asymptotic_suite(dl: DimensionlessParams) -> dict:
     """Large-argument behavior of the two LHS building blocks.
 
     Evaluates the applicable limit/equivalent claims for the given p branch
@@ -214,26 +214,26 @@ def asymptotic_suite(dl: DimensionlessParams, y_far: float = 40.0,
         return (1.0 + m * y * y) * g2_eval(y, dl.gamma0)
 
     if p < 2.0:
-        val = abs(block_g1(y_far))
+        val = abs(block_g1(_Y_FAR))
         checks["g1_block_vanishes"] = {"value": val, "passed": val <= 1e-8}
     elif p == 2.0:
-        target = -(2.0 * ratio_amb / math.sqrt(math.pi)) * y_ratio ** 2
-        r = block_g1(y_ratio) / target
+        target = -(2.0 * ratio_amb / math.sqrt(math.pi)) * _Y_RATIO ** 2
+        r = block_g1(_Y_RATIO) / target
         checks["g1_block_equivalent_p2"] = {"ratio": r, "passed": 0.95 <= r <= 1.05}
     else:
-        target = -(ratio_amb * (p - 2.0)) * y_ratio ** 3
-        r = block_g1(y_ratio) / target
+        target = -(ratio_amb * (p - 2.0)) * _Y_RATIO ** 3
+        r = block_g1(_Y_RATIO) / target
         checks["g1_block_equivalent_pgt2"] = {"ratio": r, "passed": 0.95 <= r <= 1.05}
 
-    target2 = math.sqrt(math.pi) * dl.gamma0 * m * y_ratio ** 3
-    r2 = block_g2(y_ratio) / target2 if target2 != 0.0 else float("nan")
+    target2 = math.sqrt(math.pi) * dl.gamma0 * m * _Y_RATIO ** 3
+    r2 = block_g2(_Y_RATIO) / target2 if target2 != 0.0 else float("nan")
     checks["g2_block_equivalent"] = {"ratio": r2, "passed": abs(r2 - 1.0) <= 0.02}
 
-    sign_ok = math.copysign(1.0, block_g2(y_far)) == math.copysign(1.0, m) if m != 0.0 else True
+    sign_ok = math.copysign(1.0, block_g2(_Y_FAR)) == math.copysign(1.0, m) if m != 0.0 else True
     checks["g2_block_sign_at_infinity"] = {"passed": sign_ok}
 
     if m > 0.0:
-        grid = np.geomspace(1e-3, y_ratio, n_grid)
+        grid = np.geomspace(1e-3, _Y_RATIO, _N_GRID)
         vals = (1.0 + m * grid ** 2) * g2_eval(grid, dl.gamma0)
         violations = int(np.sum(np.diff(vals) <= 0.0))
         checks["g2_block_increasing"] = {"violations": violations, "passed": violations == 0}

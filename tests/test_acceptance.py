@@ -25,8 +25,8 @@ from stefan_thaw.profiles import (
     build_convective_solution,
     build_temperature_solution,
     eval_front,
-    eval_u,
-    eval_v,
+    frozen_field,
+    unfrozen_field,
 )
 from stefan_thaw.solver import SolveOptions, critical_h0, solve_omega, solve_xi
 from stefan_thaw.special import g2_eval, g_eval, lhs_convective, rhs_eval
@@ -168,8 +168,8 @@ def test_criterion_5_round_trips():
             s = eval_front(sol, t)
             x_u = float(rng.uniform(0.0, s))
             x_f = s * float(rng.uniform(1.0, 4.0))
-            assert abs(eval_u(sol, x_u, t) - eval_u(tsol, x_u, t)) <= 1e-9 * scale
-            assert abs(eval_v(sol, x_f, t) - eval_v(tsol, x_f, t)) <= 1e-9 * scale
+            assert abs(unfrozen_field(sol, t)(x_u) - unfrozen_field(tsol, t)(x_u)) <= 1e-9 * scale
+            assert abs(frozen_field(sol, t)(x_f) - frozen_field(tsol, t)(x_f)) <= 1e-9 * scale
 
 
 def test_criterion_6_front_inequalities():

@@ -16,9 +16,9 @@ from stefan_thaw.errors import HypothesesNotMet
 from stefan_thaw.model import reduce_params
 from stefan_thaw.profiles import (
     build_convective_solution,
-    eval_u,
-    eval_v,
     eval_front,
+    frozen_field,
+    unfrozen_field,
 )
 from stefan_thaw.solver import critical_h0, solve_omega, solve_xi
 from scipy.special import erf
@@ -42,7 +42,7 @@ class TestInducedWallValue:
         b0 = b0_from_convective(sol_pp)
         assert b0 == pytest.approx(sol_pp.wall_temp, rel=1e-13)
         for t in (0.25, 1.0, 4.0):
-            assert b0 == pytest.approx(eval_u(sol_pp, 0.0, t), rel=1e-13)
+            assert b0 == pytest.approx(unfrozen_field(sol_pp, t)(0.0), rel=1e-13)
 
     def test_strictly_between_interface_and_ambient(self, sol_pp):
         b0 = b0_from_convective(sol_pp)
@@ -87,9 +87,9 @@ class TestRoundTrips:
             s = eval_front(sol_pp, t)
             for frac in rng.uniform(0.0, 3.0, 20):
                 x = frac * s
-                ref = eval_u(sol_pp, x, t) if x <= s else eval_v(sol_pp, x, t)
-                got = (eval_u(counterpart, x, t) if x <= eval_front(counterpart, t)
-                       else eval_v(counterpart, x, t))
+                ref = unfrozen_field(sol_pp, t)(x) if x <= s else frozen_field(sol_pp, t)(x)
+                got = (unfrozen_field(counterpart, t)(x) if x <= eval_front(counterpart, t)
+                       else frozen_field(counterpart, t)(x))
                 assert abs(got - ref) <= 1e-9 * max(
                     sol_pp.dimless.a_init, sol_pp.dimless.b_ext)
 

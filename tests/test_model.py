@@ -72,6 +72,46 @@ def test_invalid_parameters_name_the_field(field, value):
     assert exc.value.field == field
 
 
+@pytest.mark.parametrize("field, overrides, message", [
+    ("d_f", dict(k_f=1e-200, rho_f=1e200, c_f=1e200), "must be > 0, got 0.0"),
+    ("d_u", dict(k_u=1e300, rho_u=1e-10, c_u=1e-10), "must be a finite number, got inf"),
+], ids=["d_f", "d_u"])
+def test_derived_diffusivities_checked(field, overrides, message):
+    with pytest.raises(InvalidParameter) as exc:
+        make_phys(**overrides)
+    assert (exc.value.field, str(exc.value)) == (field, f"{field}: {message}")
+
+
+BAD_GROUPS = [
+    ("p_par", math.nan, "must be a finite number, got nan"),
+    ("m_par", -math.inf, "must be a finite number, got -inf"),
+    ("gamma0", 0.0, "must be > 0, got 0.0"),
+    ("delta2", -1.0, "must be > 0, got -1.0"),
+    ("alpha_lat", math.inf, "must be a finite number, got inf"),
+    ("k0", -1e-3, "must be >= 0, got -0.001"),
+    ("delta1_tilde", 0.0, "must be > 0, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", BAD_GROUPS,
+                         ids=[f"{field}-{value}" for field, value, _ in BAD_GROUPS])
+def test_dimensionless_groups_checked(field, value, message):
+    dl = reduce_params(make_phys(b0_wall=3.0))
+    with pytest.raises(InvalidParameter) as exc:
+        replace(dl, **{field: value})
+    assert (exc.value.field, str(exc.value)) == (field, f"{field}: {message}")
+
+
+def test_dimensionless_groups_allowed():
+    dl = reduce_params(make_phys())
+    assert replace(dl, k0=0.0).k0 == 0.0            # the fixed-wall Robin group
+    assert replace(dl, m_par=-1.0, n_par=0.0, p_par=0.0).m_par == -1.0
+    for b0 in (-3.0, 0.0, math.nan):                # a bad B0 is named, not delta1~
+        with pytest.raises(InvalidParameter) as exc:
+            dl.with_b0(b0)
+        assert exc.value.field == "b0_wall"
+
+
 def test_one_boundary_coefficient_required():
     params = dict(BASE_PARAMS)
     params.pop("h0")

@@ -10,10 +10,6 @@ from stefan_thaw.profiles import (
     build_convective_solution,
     build_temperature_solution,
     eval_front,
-    eval_u,
-    eval_u_x,
-    eval_v,
-    eval_v_x,
     frozen_field,
     unfrozen_field,
 )
@@ -42,8 +38,8 @@ class TestInterfaceAndWall:
         expect = dl.a_init * dl.m_par * sol_pp.xi ** 2
         for t in (0.25, 1.0, 4.0):
             s = eval_front(sol_pp, t)
-            assert eval_u(sol_pp, s, t) == pytest.approx(expect, rel=1e-12)
-            assert eval_v(sol_pp, s, t) == pytest.approx(expect, rel=1e-12)
+            assert unfrozen_field(sol_pp, t)(s) == pytest.approx(expect, rel=1e-12)
+            assert frozen_field(sol_pp, t)(s) == pytest.approx(expect, rel=1e-12)
         assert sol_pp.interface_temp == pytest.approx(expect, rel=1e-15)
 
     def test_wall_coefficient_two_forms_agree(self, sol_pp):
@@ -60,20 +56,20 @@ class TestInterfaceAndWall:
 
     def test_robin_condition_via_fd_refinement(self, sol_pp):
         phys, t = sol_pp.phys, 1.3
-        target = (phys.h0 / math.sqrt(t)) * (eval_u(sol_pp, 0.0, t) - phys.b_ext)
+        target = (phys.h0 / math.sqrt(t)) * (unfrozen_field(sol_pp, t)(0.0) - phys.b_ext)
         # analytic derivative satisfies the balance exactly
-        assert phys.k_u * eval_u_x(sol_pp, 0.0, t) == pytest.approx(target, rel=1e-12)
+        assert phys.k_u * unfrozen_field(sol_pp, t)(0.0, True) == pytest.approx(target, rel=1e-12)
         # one-sided differences converge to the same number
         gaps = []
         for h in (1e-3, 1e-4, 1e-5):
-            fd = (eval_u(sol_pp, h, t) - eval_u(sol_pp, 0.0, t)) / h
+            fd = (unfrozen_field(sol_pp, t)(h) - unfrozen_field(sol_pp, t)(0.0)) / h
             gaps.append(abs(phys.k_u * fd - target))
         assert gaps[1] < gaps[0] and gaps[2] < gaps[1]
         assert gaps[2] <= abs(target) * 1e-3
 
     def test_temperature_wall_value_exact(self, sol_temp):
         for t in (0.25, 1.0, 4.0):
-            assert eval_u(sol_temp, 0.0, t) == sol_temp.dimless.b0_wall
+            assert unfrozen_field(sol_temp, t)(0.0) == sol_temp.dimless.b0_wall
             assert sol_temp.wall_temp == sol_temp.dimless.b0_wall
 
 
@@ -82,18 +78,18 @@ class TestFarField:
         a = sol_pp.dimless.a_init
         for t in (0.25, 1.0, 4.0):
             x_far = 40.0 * sol_pp.dimless.alpha_f * math.sqrt(t)
-            assert abs(eval_v(sol_pp, x_far, t) + a) <= 1e-8 * a
-            assert abs(eval_v_x(sol_pp, x_far, t)) <= 1e-8
+            assert abs(frozen_field(sol_pp, t)(x_far) + a) <= 1e-8 * a
+            assert abs(frozen_field(sol_pp, t)(x_far, True)) <= 1e-8
 
     def test_initial_condition_recovered(self, sol_pp):
         # fixed x > 0, t -> 0+: the point is deep in the frozen zone
         a = sol_pp.dimless.a_init
-        assert eval_v(sol_pp, 1.0, 1e-8) == pytest.approx(-a, rel=1e-10)
+        assert frozen_field(sol_pp, 1e-8)(1.0) == pytest.approx(-a, rel=1e-10)
 
     def test_temperature_problem_far_field(self, sol_temp):
         a = sol_temp.dimless.a_init
         x_far = 40.0 * sol_temp.dimless.alpha_f
-        assert abs(eval_v(sol_temp, x_far, 1.0) + a) <= 1e-8 * a
+        assert abs(frozen_field(sol_temp, 1.0)(x_far) + a) <= 1e-8 * a
 
 
 class TestFront:
@@ -123,23 +119,23 @@ class TestSelfSimilarity:
         s = eval_front(sol_pp, t)
         for frac in np.linspace(0.0, 1.0, 9):
             x = frac * s
-            assert eval_u(sol_pp, 2 * x, 4 * t) == pytest.approx(
-                eval_u(sol_pp, x, t), rel=1e-13, abs=1e-13)
-            assert eval_u_x(sol_pp, 2 * x, 4 * t) == pytest.approx(
-                0.5 * eval_u_x(sol_pp, x, t), rel=1e-12, abs=1e-15)
+            assert unfrozen_field(sol_pp, 4 * t)(2 * x) == pytest.approx(
+                unfrozen_field(sol_pp, t)(x), rel=1e-13, abs=1e-13)
+            assert unfrozen_field(sol_pp, 4 * t)(2 * x, True) == pytest.approx(
+                0.5 * unfrozen_field(sol_pp, t)(x, True), rel=1e-12, abs=1e-15)
 
     def test_frozen_zone(self, sol_pp):
         t = 0.8
         s = eval_front(sol_pp, t)
         for mult in (1.0, 1.5, 3.0, 10.0):
             x = mult * s
-            assert eval_v(sol_pp, 2 * x, 4 * t) == pytest.approx(
-                eval_v(sol_pp, x, t), rel=1e-13, abs=1e-13)
+            assert frozen_field(sol_pp, 4 * t)(2 * x) == pytest.approx(
+                frozen_field(sol_pp, t)(x), rel=1e-13, abs=1e-13)
 
     def test_temperature_problem(self, sol_temp):
         t = 0.8
         s = eval_front(sol_temp, t)
-        for field, x in ((eval_u, 0.3 * s), (eval_u, 0.9 * s), (eval_v, 2.0 * s)):
+        for field, x in ((bound_u, 0.3 * s), (bound_u, 0.9 * s), (bound_v, 2.0 * s)):
             assert field(sol_temp, 2 * x, 4 * t) == pytest.approx(
                 field(sol_temp, x, t), rel=1e-13, abs=1e-13)
 
@@ -160,9 +156,9 @@ def bound_v_x(sol, x, t):
     return frozen_field(sol, t)(x, True)
 
 
-# each zone's public functions and its field bound to (solution, t)
-UNFROZEN = [(eval_u, eval_u_x), (bound_u, bound_u_x)]
-FROZEN = [(eval_v, eval_v_x), (bound_v, bound_v_x)]
+# each zone's field bound to (solution, t)
+UNFROZEN = [(bound_u, bound_u_x)]
+FROZEN = [(bound_v, bound_v_x)]
 
 
 class TestPhaseRegions:
@@ -192,7 +188,7 @@ class TestPhaseRegions:
 
     def test_zero_time_rejected(self, sol_pp):
         for t in (0.0, -1.0):
-            for field in (eval_u, eval_v):
+            for field in (bound_u, bound_v):
                 with pytest.raises(DomainError):
                     field(sol_pp, 0.0, t)
             for build in (unfrozen_field, frozen_field):  # checked when bound
@@ -202,7 +198,6 @@ class TestPhaseRegions:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("coord", ["x", "t"])
     @pytest.mark.parametrize("field, mult", [
-        (eval_u, 0.5), (eval_u_x, 0.5), (eval_v, 2.0), (eval_v_x, 2.0),
         (bound_u, 0.5), (bound_u_x, 0.5), (bound_v, 2.0), (bound_v_x, 2.0),
     ])
     def test_nonfinite_coordinate_rejected(self, sol_pp, field, mult, coord, bad):
@@ -229,8 +224,8 @@ class TestTemperatureDerivative:
         t = 1.0
         s = eval_front(sol_temp, t)
         x, h = 0.4 * s, 1e-7 * s
-        fd = (eval_u(sol_temp, x + h, t) - eval_u(sol_temp, x - h, t)) / (2 * h)
-        assert eval_u_x(sol_temp, x, t) == pytest.approx(fd, rel=1e-6)
+        fd = (unfrozen_field(sol_temp, t)(x + h) - unfrozen_field(sol_temp, t)(x - h)) / (2 * h)
+        assert unfrozen_field(sol_temp, t)(x, True) == pytest.approx(fd, rel=1e-6)
 
 
 class TestArrayFields:

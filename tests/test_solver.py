@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stefan_thaw import solver
+from stefan_thaw import solver, special
 from stefan_thaw.errors import (
     DomainError,
     InvalidParameter,
@@ -231,6 +231,41 @@ class TestSolveXi:
         a, _ = solve_xi(dl_pp)
         b, _ = solve_xi(dl_pp, SolveOptions(scan_max=2.0, scan_points=4096))
         assert a.principal == pytest.approx(b.principal, rel=1e-12)
+
+
+class TestCheckedOnce:
+    """Each LHS call checks y once; the RHS and the kernels check nothing."""
+
+    @staticmethod
+    def _count(monkeypatch, lhs_names):
+        counts = dict.fromkeys(["check", *lhs_names], 0)
+
+        def wrap(key, fn):
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(special, "_check_y", wrap("check", special._check_y))
+        for name in lhs_names:
+            monkeypatch.setattr(solver, name, wrap(name, getattr(solver, name)))
+        return counts
+
+    @pytest.mark.parametrize("fixture", ["phys_pp", "phys_mm"])
+    def test_solve_xi(self, fixture, request, monkeypatch):
+        dl = reduce_params(request.getfixturevalue(fixture))
+        counts = self._count(monkeypatch, ["lhs_convective"])
+        solve_xi(dl)
+        assert counts["check"] == counts["lhs_convective"] >= 2
+
+    def test_solve_omega_and_sweep(self, phys_pp, monkeypatch):
+        dl = reduce_params(replace(phys_pp, b0_wall=3.0))
+        counts = self._count(monkeypatch, ["lhs_convective", "lhs_temperature"])
+        solve_omega(dl)
+        crit = critical_h0(phys_pp)
+        monotonicity_sweep(phys_pp, [2.0 * crit, 4.0 * crit])
+        assert counts["check"] == counts["lhs_convective"] + counts["lhs_temperature"]
+        assert counts["lhs_convective"] >= 2 and counts["lhs_temperature"] >= 2
 
 
 class TestRootEngine:

@@ -239,6 +239,15 @@ class TestFrontEquationSides:
         y_star = math.sqrt(dl.b0_wall / (dl.a_init * dl.m_par))
         assert sp.lhs_temperature(y_star, dl) < 0.0
 
+    def test_lhs_checks_y_and_a_callers_k0(self, dl_pp):
+        # the messages of the checks the LHS made through g1_eval and g2_eval
+        with pytest.raises(NonFiniteInput, match=r"^y must be finite$"):
+            sp.lhs_convective(np.array([0.1, math.nan]), dl_pp)
+        with pytest.raises(DomainError, match=r"^y must be > 0$"):
+            sp.lhs_temperature(0.0, dl_pp.with_b0(3.0))
+        with pytest.raises(NonFiniteInput, match=r"^k0 must be finite and >= 0, got "):
+            sp.lhs_convective(0.1, dl_pp, np.array([[1.0], [-1.0]]))
+
 
 class TestLargeArgumentBehavior:
     """Limits and asymptotic equivalents of the two LHS building blocks."""

@@ -12,8 +12,7 @@ from stefan_thaw.model import load_config, reduce_params
 from stefan_thaw.profiles import (
     build_convective_solution,
     build_temperature_solution,
-    eval_u,
-    eval_v,
+    frozen_field,
     unfrozen_field,
 )
 from stefan_thaw.solver import solve_omega, solve_xi
@@ -198,16 +197,16 @@ def _max_over_probe_times(sol):
         half = 2.0 * alpha * math.sqrt(t)
         out = 0.0
         for e in etas:
-            f_m, f_0, f_p = (profile(sol, z * half, t) for z in (e - h, e, e + h))
+            f_m, f_0, f_p = (profile(sol, t)(z * half) for z in (e - h, e, e + h))
             d1 = (f_p - f_m) / (2.0 * h)
             d2 = (f_p - 2.0 * f_0 + f_m) / (h * h)
             out = max(out, abs((d2 + 2.0 * (e - drift) * d1) / (4.0 * t)))
         return out
 
     times = verification._PROBE_TIMES
-    pde_u = [max(worst(eval_u, dl.alpha_u, u_etas, h, drift, t) for t in times)
+    pde_u = [max(worst(unfrozen_field, dl.alpha_u, u_etas, h, drift, t) for t in times)
              for h in u_steps]
-    pde_v = [max(worst(eval_v, dl.alpha_f, v_etas, h, 0.0, t) for t in times)
+    pde_v = [max(worst(frozen_field, dl.alpha_f, v_etas, h, 0.0, t) for t in times)
              for h in verification._ETA_STEPS]
     return pde_u, pde_v
 
