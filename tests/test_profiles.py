@@ -197,13 +197,24 @@ class TestPhaseRegions:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("coord", ["x", "t"])
-    @pytest.mark.parametrize("field, mult", [
-        (bound_u, 0.5), (bound_u_x, 0.5), (bound_v, 2.0), (bound_v_x, 2.0),
+    @pytest.mark.parametrize("field, mult, as_array", [
+        # eval_*: x a float; bound_*: x an array, the bad value among good ones
+        pytest.param(bound_u, 0.5, False, id="eval_u-0.5"),
+        pytest.param(bound_u_x, 0.5, False, id="eval_u_x-0.5"),
+        pytest.param(bound_v, 2.0, False, id="eval_v-2.0"),
+        pytest.param(bound_v_x, 2.0, False, id="eval_v_x-2.0"),
+        pytest.param(bound_u, 0.5, True, id="bound_u-0.5"),
+        pytest.param(bound_u_x, 0.5, True, id="bound_u_x-0.5"),
+        pytest.param(bound_v, 2.0, True, id="bound_v-2.0"),
+        pytest.param(bound_v_x, 2.0, True, id="bound_v_x-2.0"),
     ])
-    def test_nonfinite_coordinate_rejected(self, sol_pp, field, mult, coord, bad):
+    def test_nonfinite_coordinate_rejected(self, sol_pp, field, mult, as_array, coord, bad):
         # a NaN must not pass the region checks, nor +inf reach erf(inf)
         x, t = mult * eval_front(sol_pp, 1.0), 1.0
         x, t = (bad, t) if coord == "x" else (x, bad)
+        if as_array:
+            good = mult * eval_front(sol_pp, 1.0)
+            x = np.array([good, x, good])
         with pytest.raises(NonFiniteInput):
             field(sol_pp, x, t)
 
